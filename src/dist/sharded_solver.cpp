@@ -10,6 +10,8 @@
 #include "mttkrp/mttkrp.hpp"
 #include "obs/metrics.hpp"
 #include "obs/snapshot.hpp"
+#include "obs/telemetry/event_journal.hpp"
+#include "obs/telemetry/trace_context.hpp"
 #include "sparse/density.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -26,6 +28,7 @@ struct DistMetrics {
   obs::Counter mttkrp_calls;
   obs::Counter checkpoints_written;
   obs::Counter robust_mttkrp_retries;
+  obs::Counter robust_checkpoint_write_failures;
   obs::Gauge exchange_bytes;
   obs::Gauge exchange_messages;
   obs::Gauge shard_imbalance;
@@ -44,6 +47,8 @@ struct DistMetrics {
       out.mttkrp_calls = reg.counter("dist/mttkrp_calls");
       out.checkpoints_written = reg.counter("cpd/checkpoints_written");
       out.robust_mttkrp_retries = reg.counter("robust/mttkrp_retries");
+      out.robust_checkpoint_write_failures =
+          reg.counter("robust/checkpoint_write_failures");
       out.exchange_bytes = reg.gauge("dist/exchange_bytes");
       out.exchange_messages = reg.gauge("dist/exchange_messages");
       out.shard_imbalance = reg.gauge("dist/shard_imbalance");
@@ -181,7 +186,6 @@ TileResidency::Stats ShardedCpdSolver::residency_stats() const {
 
 void ShardedCpdSolver::worker_main(std::size_t shard) {
   Worker& w = *workers_[shard];
-  const std::size_t order = plan_.order();
   for (;;) {
     Message m = exchange_->recv(shard);
     if (m.kind == MsgKind::kStop) {
@@ -396,6 +400,7 @@ CpdResult ShardedCpdSolver::run(unsigned start_outer, real_t prev_error,
       break;
     }
     const double iter_start_seconds = wall.seconds();
+    const double admm_seconds_before = admm_timer.seconds();
     const ExchangeStats exchange_before = exchange_->stats();
     std::fill(mode_mttkrp_seconds_.begin(), mode_mttkrp_seconds_.end(), 0.0);
     std::uint64_t iter_inner_iterations = 0;
@@ -501,6 +506,7 @@ CpdResult ShardedCpdSolver::run(unsigned start_outer, real_t prev_error,
       snap.iteration_seconds = iter_seconds;
       snap.relative_error = err;
       snap.mode_mttkrp_seconds = mode_mttkrp_seconds_;
+      snap.admm_seconds = admm_timer.seconds() - admm_seconds_before;
       snap.admm_inner_iterations = iter_inner_iterations;
       snap.worst_primal_residual = worst_primal;
       snap.mean_primal_residual = sum_primal / static_cast<real_t>(order);
@@ -538,12 +544,18 @@ CpdResult ShardedCpdSolver::run(unsigned start_outer, real_t prev_error,
       try {
         write_checkpoint_file(ck, config_.checkpoint_path);
         metrics.checkpoints_written.add(1);
+        obs::journal_event(
+            obs::EventKind::kCheckpointWritten, obs::current_trace(),
+            obs::EventJournal::Fields{}
+                .num("outer_iteration", static_cast<std::uint64_t>(outer))
+                .str("path", config_.checkpoint_path));
       } catch (const CheckpointError& e) {
         if (!rb.enabled) {
           throw;
         }
         result.recovery.add({RecoveryKind::kCheckpointWriteFailure, outer, 0,
                              0, 0, e.what(), {}});
+        metrics.robust_checkpoint_write_failures.add(1);
         AOADMM_LOG_WARN << "outer " << outer
                         << ": checkpoint write failed (continuing): "
                         << e.what();

@@ -105,18 +105,22 @@ CsfTensor TileStore::load_tile(std::size_t shard) const {
   // The decode is one front-to-back pass; tell the kernel so it reads ahead
   // aggressively and drops pages behind the cursor.
   ::madvise(map, size, MADV_SEQUENTIAL);
-  CsfTensor tree;
-  try {
-    tree = CsfTensor::deserialize(static_cast<const char*>(map), size);
-  } catch (...) {
+  const auto unmap = [&] {
     ::madvise(map, size, MADV_DONTNEED);
     ::munmap(map, size);
     ::close(fd);
+  };
+  CsfTensor tree;
+  try {
+    tree = CsfTensor::deserialize(static_cast<const char*>(map), size);
+  } catch (const ParseError& e) {
+    unmap();
+    throw ParseError("spill tile " + path + ": " + e.what());
+  } catch (...) {
+    unmap();
     throw;
   }
-  ::madvise(map, size, MADV_DONTNEED);
-  ::munmap(map, size);
-  ::close(fd);
+  unmap();
   return tree;
 }
 
@@ -160,7 +164,10 @@ std::shared_ptr<const CsfTensor> TileResidency::acquire(std::size_t shard) {
     e.in_lru = false;
   }
   e.pins += 1;
-  evict_over_budget_locked();
+  // No eviction here; release() restores the budget. Evicting now could drop
+  // an unpinned tile that another worker is about to acquire in this same
+  // sweep step, turning its hit into a reload whenever that worker is
+  // scheduled later than this load finished.
   return e.tree;
 }
 

@@ -32,6 +32,7 @@ class TileStore {
 
   /// mmap the shard's tile file with MADV_SEQUENTIAL, decode it, and drop
   /// the mapping (MADV_DONTNEED) — only the decoded tree stays resident.
+  /// A corrupt or truncated file throws ParseError naming its path.
   CsfTensor load_tile(std::size_t shard) const;
 
   /// On-disk size of the shard's tile file.
@@ -47,11 +48,13 @@ class TileStore {
 };
 
 /// Bounded cache of decoded tiles. acquire() returns a pinned tree
-/// (shared_ptr keeps it alive for the caller); release() unpins. When the
-/// decoded bytes of unpinned tiles exceed `max_bytes`, least-recently-used
-/// unpinned tiles are evicted. The tile being acquired is always admitted,
-/// even when it alone exceeds the budget — the solver cannot make progress
-/// otherwise — so `max_bytes` bounds the steady state, not a single tile.
+/// (shared_ptr keeps it alive for the caller); release() unpins, then
+/// evicts least-recently-used unpinned tiles while the decoded bytes exceed
+/// `max_bytes`. acquire() never evicts, so a tile left resident stays a hit
+/// for the caller that pins it next. The tile being acquired is always
+/// admitted, even when it alone exceeds the budget — the solver cannot make
+/// progress otherwise — so `max_bytes` bounds the steady state, not a
+/// single tile.
 class TileResidency {
  public:
   struct Stats {

@@ -7,6 +7,7 @@
 
 #include "parallel/partition.hpp"
 #include "tensor/alto.hpp"
+#include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/overflow.hpp"
 
@@ -258,18 +259,7 @@ std::size_t CsfTensor::storage_bytes() const noexcept {
 
 namespace {
 
-constexpr char kCsfMagic[8] = {'A', 'O', 'C', 'S', 'F', '1', 0, 0};
-constexpr std::uint64_t kCsfFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kCsfFnvPrime = 1099511628211ULL;
-
-std::uint64_t csf_fnv1a(const char* data, std::size_t n) {
-  std::uint64_t h = kCsfFnvOffset;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= kCsfFnvPrime;
-  }
-  return h;
-}
+constexpr char kCsfMagic[8] = {'A', 'O', 'C', 'S', 'F', '2', 0, 0};
 
 void put_bytes(std::vector<char>& out, const void* data, std::size_t n) {
   const char* p = static_cast<const char*>(data);
@@ -364,8 +354,8 @@ std::vector<char> CsfTensor::serialize() const {
     put_bytes(out, fptr_[l].data(), fptr_[l].size() * sizeof(offset_t));
   }
   put_bytes(out, vals_.data(), vals_.size() * sizeof(real_t));
-  put_u64(out, csf_fnv1a(out.data() + sizeof(kCsfMagic),
-                         out.size() - sizeof(kCsfMagic)));
+  put_u64(out, xxh64(out.data() + sizeof(kCsfMagic),
+                     out.size() - sizeof(kCsfMagic)));
   return out;
 }
 
@@ -378,7 +368,7 @@ CsfTensor CsfTensor::deserialize(const char* data, std::size_t size) {
   const std::size_t payload = size - sizeof(kCsfMagic) - sizeof(std::uint64_t);
   std::uint64_t stored = 0;
   std::memcpy(&stored, data + size - sizeof(std::uint64_t), sizeof(stored));
-  if (csf_fnv1a(data + sizeof(kCsfMagic), payload) != stored) {
+  if (xxh64(data + sizeof(kCsfMagic), payload) != stored) {
     throw ParseError("CSF tile blob checksum mismatch");
   }
 

@@ -126,16 +126,19 @@ class CsfTensor {
   /// Total bytes of the compressed structure (for reporting).
   std::size_t storage_bytes() const noexcept;
 
-  /// Serialize the compiled tree to a self-contained binary blob: magic +
-  /// shape header + per-level fids/fptr arrays + values + FNV-1a checksum.
+  /// Serialize the compiled tree to a self-contained binary blob: magic
+  /// "AOCSF2" + shape header + per-level fids/fptr arrays + values + an
+  /// XXH64 checksum (util/checksum.hpp) of every byte after the magic.
   /// Values are written in memory representation (same-architecture format,
   /// like checkpoints) — this is the spill format of the out-of-core
   /// sharded solver (dist/tile_store.hpp), not an archival interchange.
   std::vector<char> serialize() const;
 
   /// Rebuild a tree from a serialize() blob (e.g. an mmap'd spill file).
-  /// Throws ParseError on bad magic, truncation, or checksum mismatch. The
-  /// returned tree has a fresh (empty) scheduling-plan cache.
+  /// The checksum is verified before any header field is read. Throws
+  /// ParseError on bad magic (including blobs of an older format version),
+  /// truncation, or checksum mismatch. The returned tree has a fresh
+  /// (empty) scheduling-plan cache.
   static CsfTensor deserialize(const char* data, std::size_t size);
 
  private:

@@ -10,12 +10,16 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/solver.hpp"
+#include "obs/metrics.hpp"
+#include "obs/telemetry/event_journal.hpp"
+#include "testing/fault_injection.hpp"
 #include "testing/helpers.hpp"
 #include "util/error.hpp"
 
@@ -275,6 +279,81 @@ TEST(ShardedSolver, ReportsExchangeTrafficAndSnapshotFields) {
   const TileResidency::Stats rs = solver.residency_stats();
   EXPECT_EQ(rs.loads, 0u);
   EXPECT_EQ(rs.evictions, 0u);
+}
+
+TEST(ShardedSolver, SnapshotAdmmSecondsSumToTheRunTotal) {
+  // Each snapshot's admm_seconds is the ADMM timer's advance over its
+  // iteration, so the sum telescopes to the run total whatever the timings.
+  const CooTensor x = shard_tensor();
+  CpdConfig cfg = shard_config();
+  ShardOptions so;
+  so.grid = {2, 2, 1};
+  cfg.with_shards(so);
+  double admm_sum = 0;
+  cfg.on_iteration = [&](const obs::MetricsSnapshot& s) {
+    admm_sum += s.admm_seconds;
+  };
+  ShardedCpdSolver solver(x, cfg);
+  const CpdResult r = solver.solve();
+  EXPECT_GT(r.times.admm_seconds, 0.0);
+  EXPECT_NEAR(admm_sum, r.times.admm_seconds, 1e-9);
+}
+
+TEST(ShardedSolver, CheckpointWritesAreJournaledAndFailuresCounted) {
+  const CooTensor x = shard_tensor();
+  const std::string ckpt = ::testing::TempDir() + "aoadmm_shard_robust.ckpt";
+  const std::string events =
+      ::testing::TempDir() + "aoadmm_shard_journal.jsonl";
+  std::remove(ckpt.c_str());
+  std::remove(events.c_str());
+
+  // Writes at outer 2 (faulted), 4 and 6; the tolerance never triggers.
+  CpdConfig cfg = shard_config();
+  cfg.with_max_outer(6).with_robustness().with_checkpoint(ckpt, 2);
+  ShardOptions so;
+  so.grid = {2, 2, 1};
+  cfg.with_shards(so);
+
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  const double failures_before =
+      reg.counter_value("robust/checkpoint_write_failures");
+  const double written_before = reg.counter_value("cpd/checkpoints_written");
+  testing::FaultConfig faults;
+  faults.at(testing::FaultSite::kCheckpointWrite) = {1.0, 1};
+  CpdResult r;
+  {
+    // Undoes both process-global hooks even if the solve throws.
+    struct Disarm {
+      ~Disarm() {
+        testing::disarm_faults();
+        obs::EventJournal::install_global(nullptr);
+      }
+    };
+    obs::EventJournal journal(events);
+    const Disarm disarm;
+    obs::EventJournal::install_global(&journal);
+    testing::arm_faults(faults);
+    ShardedCpdSolver solver(x, cfg);
+    r = solver.solve();
+  }
+
+  ASSERT_EQ(r.outer_iterations, 6u);
+  EXPECT_EQ(r.recovery.count(RecoveryKind::kCheckpointWriteFailure), 1u);
+  EXPECT_EQ(reg.counter_value("robust/checkpoint_write_failures"),
+            failures_before + 1);
+  EXPECT_EQ(reg.counter_value("cpd/checkpoints_written"), written_before + 2);
+
+  std::ifstream in(events);
+  ASSERT_TRUE(in.good());
+  std::size_t journaled = 0;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"checkpoint_written\"") != std::string::npos) {
+      ++journaled;
+    }
+  }
+  EXPECT_EQ(journaled, 2u);
+  std::remove(ckpt.c_str());
+  std::remove(events.c_str());
 }
 
 TEST(ShardedSolver, ConstructorRejectsInvalidShardConfig) {

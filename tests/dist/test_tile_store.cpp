@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "dist/shard_plan.hpp"
 #include "mttkrp/mttkrp.hpp"
 #include "testing/helpers.hpp"
+#include "util/checksum.hpp"
 #include "util/error.hpp"
 
 namespace aoadmm {
@@ -78,6 +82,54 @@ TEST(ShardTileStore, DeserializeRejectsCorruptBlobs) {
                ParseError);
 }
 
+// The exhaustive form of the corruption check above: the blob is small
+// enough to try every proper prefix and every single-bit flip.
+TEST(ShardTileStore, DeserializeRejectsEveryTruncationAndBitFlip) {
+  const std::vector<char> blob = sample_tree().serialize();
+  ASSERT_GT(blob.size(), 16u);
+
+  // The trailer is XXH64 over everything after the 8-byte magic.
+  std::uint64_t stored = 0;
+  std::memcpy(&stored, blob.data() + blob.size() - sizeof(stored),
+              sizeof(stored));
+  EXPECT_EQ(stored, xxh64(blob.data() + 8, blob.size() - 16));
+
+  // Report only the first accepted mutation, so a regression prints one
+  // failure rather than thousands.
+  std::size_t accepted = 0;
+  const auto expect_rejected = [&](const std::vector<char>& bytes,
+                                   std::size_t n, const std::string& what) {
+    try {
+      CsfTensor::deserialize(bytes.data(), n);
+      if (accepted++ == 0) {
+        ADD_FAILURE() << what << " decoded";
+      }
+    } catch (const ParseError&) {
+    }
+  };
+  for (std::size_t n = 0; n < blob.size(); ++n) {
+    expect_rejected(blob, n, "prefix of " + std::to_string(n) + " bytes");
+  }
+  std::vector<char> mutated = blob;
+  for (std::size_t i = 0; i < blob.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      mutated[i] = static_cast<char>(blob[i] ^ (1 << bit));
+      expect_rejected(mutated, mutated.size(),
+                      "flip of byte " + std::to_string(i) + " bit " +
+                          std::to_string(bit));
+    }
+    mutated[i] = blob[i];
+  }
+  EXPECT_EQ(accepted, 0u);
+
+  // A blob of the previous format version is refused by its magic.
+  std::vector<char> old_version = blob;
+  old_version[5] = '1';
+  ASSERT_EQ(std::memcmp(old_version.data(), "AOCSF1", 6), 0);
+  EXPECT_THROW(CsfTensor::deserialize(old_version.data(), old_version.size()),
+               ParseError);
+}
+
 TEST(ShardTileStore, WriteLoadRoundTripsThroughTheSpillDir) {
   const std::string dir = fresh_dir("aoadmm_tile_store_rt");
   TileStore store(dir, 0xabcdef12u);
@@ -136,6 +188,35 @@ TEST(ShardTileStore, ResidencyEvictsLeastRecentlyUsedOverBudget) {
   EXPECT_EQ(cache.stats().loads, loads_before + 1);
 }
 
+TEST(ShardTileStore, ResidentTileSurvivesAnotherTilesLoad) {
+  // One sweep step with two workers and a one-tile budget: tile 0 is left
+  // resident by the previous step, and worker 1's load, finishing before
+  // worker 0 gets to acquire, must not evict it.
+  const std::string dir = fresh_dir("aoadmm_tile_store_step");
+  TileStore store(dir, 6);
+  store.write_tile(0, sample_tree(1));
+  store.write_tile(1, sample_tree(2));
+  const std::size_t one_tile = sample_tree(1).storage_bytes();
+  TileResidency cache(store, one_tile);
+  const auto left_over = cache.acquire(0);
+  cache.release(0);
+
+  const auto t1 = cache.acquire(1);  // loads; resident bytes over budget
+  const auto t0 = cache.acquire(0);
+  EXPECT_EQ(t0.get(), left_over.get());
+  TileResidency::Stats s = cache.stats();
+  EXPECT_EQ(s.loads, 2u);
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.evictions, 0u);
+
+  // The budget is restored once the step's tiles are released.
+  cache.release(1);
+  cache.release(0);
+  s = cache.stats();
+  EXPECT_EQ(s.evictions, 1u);
+  EXPECT_LE(s.resident_bytes, one_tile);
+}
+
 TEST(ShardTileStore, PinnedTilesSurviveBudgetPressure) {
   const std::string dir = fresh_dir("aoadmm_tile_store_pin");
   TileStore store(dir, 3);
@@ -150,6 +231,32 @@ TEST(ShardTileStore, PinnedTilesSurviveBudgetPressure) {
   EXPECT_EQ(pinned.get(), again.get());
   cache.release(0);
   cache.release(0);
+}
+
+TEST(ShardTileStore, CorruptTileFileErrorNamesThePath) {
+  const std::string dir = fresh_dir("aoadmm_tile_store_corrupt");
+  TileStore store(dir, 5);
+  store.write_tile(0, sample_tree(6));
+  const std::string path = dir + "/tile_0.csf";
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f);
+    const auto at = static_cast<std::streamoff>(store.tile_bytes(0) / 2);
+    f.seekg(at);
+    char byte = 0;
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x01);
+    f.seekp(at);
+    f.write(&byte, 1);
+    ASSERT_TRUE(f);
+  }
+  try {
+    store.load_tile(0);
+    FAIL() << "corrupt tile decoded";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ShardTileStore, LoadOfMissingTileThrows) {
