@@ -108,8 +108,7 @@ AdmmResult admm_update(Matrix& h, Matrix& u, const Matrix& k, const Matrix& g,
           local.merge(detail::admm_dual_rows(h, u, aux, h_old, lo, hi));
         });
         busy.add(thread_id(), busy_seconds);
-#pragma omp critical(aoadmm_admm_residuals)
-        acc.merge(local);
+        merge_in_thread_order([&] { acc.merge(local); });
       }
 #else
       obs::BusyTimes busy(1);

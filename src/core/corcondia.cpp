@@ -86,14 +86,11 @@ Matrix corcondia_core(const CooTensor& x, cspan<const Matrix> factors) {
         }
       }
     }
-#if defined(AOADMM_HAVE_OPENMP)
-#pragma omp critical(aoadmm_corcondia_merge)
-#endif
-    {
+    merge_in_thread_order([&] {
       for (std::size_t k = 0; k < core.size(); ++k) {
         core.data()[k] += local.data()[k];
       }
-    }
+    });
   }
   return core;
 }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "la/cholesky.hpp"
+#include "parallel/runtime.hpp"
 #include "util/aligned.hpp"
 #include "util/error.hpp"
 
@@ -326,7 +327,12 @@ LossObjective loss_objective(const CsfTensor& tree,
   const std::size_t order = tree.order();
   const std::size_t f = factors[0].cols();
   const auto vals = tree.vals();
-  const auto nroots = static_cast<std::ptrdiff_t>(tree.num_nodes(0));
+  // A static nnz-weighted root partition (cached on the tree) keeps every
+  // thread's partial sums — and so the ordered merge below — identical
+  // from run to run; a dynamic schedule would hand out roots by timing.
+  const std::vector<std::size_t>& bounds =
+      tree.root_partition(static_cast<std::size_t>(max_threads()));
+  const std::size_t parts = bounds.size() - 1;
 
   double obj = 0;
   double resid_sq = 0;
@@ -365,20 +371,18 @@ LossObjective loss_objective(const CsfTensor& tree,
         self(self, level + 1, child, buf);
       }
     };
-#if defined(AOADMM_HAVE_OPENMP)
-#pragma omp for schedule(dynamic, 8) nowait
-#endif
-    for (std::ptrdiff_t r = 0; r < nroots; ++r) {
-      visit(visit, 0, static_cast<offset_t>(r), nullptr);
+    const auto stride = static_cast<std::size_t>(team_size());
+    for (auto c = static_cast<std::size_t>(thread_id()); c < parts;
+         c += stride) {
+      for (std::size_t r = bounds[c]; r < bounds[c + 1]; ++r) {
+        visit(visit, 0, static_cast<offset_t>(r), nullptr);
+      }
     }
-#if defined(AOADMM_HAVE_OPENMP)
-#pragma omp critical(aoadmm_loss_objective)
-#endif
-    {
+    merge_in_thread_order([&] {
       obj += local_obj;
       resid_sq += local_resid;
       observed_mass += local_mass;
-    }
+    });
   }
 
   // Zero-fill: an unmasked loss charges slope · m over every unobserved

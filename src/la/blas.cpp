@@ -52,12 +52,11 @@ void gram(const Matrix& a, Matrix& g) {
       const auto ii = static_cast<std::size_t>(i);
       gram_accumulate(a, ii, ii + 1, local);
     }
-#pragma omp critical(aoadmm_gram_merge)
-    {
+    merge_in_thread_order([&] {
       for (std::size_t k = 0; k < f * f; ++k) {
         g.data()[k] += local.data()[k];
       }
-    }
+    });
   }
 #else
   gram_accumulate(a, 0, n, g);

@@ -112,9 +112,14 @@ double parallel_reduce_sum(std::size_t begin, std::size_t end,
   }
 #if defined(AOADMM_HAVE_OPENMP)
   const auto n = static_cast<std::ptrdiff_t>(end - begin);
-#pragma omp parallel for schedule(static) reduction(+ : total)
-  for (std::ptrdiff_t i = 0; i < n; ++i) {
-    total += body(begin + static_cast<std::size_t>(i));
+#pragma omp parallel
+  {
+    double local = 0.0;
+#pragma omp for schedule(static) nowait
+    for (std::ptrdiff_t i = 0; i < n; ++i) {
+      local += body(begin + static_cast<std::size_t>(i));
+    }
+    merge_in_thread_order([&] { total += local; });
   }
 #else
   for (std::size_t i = begin; i < end; ++i) {

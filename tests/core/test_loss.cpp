@@ -471,6 +471,43 @@ TEST(LossRecovery, L1ObjectiveDecreasesAndFits) {
   EXPECT_LT(r.relative_error, 0.25);
 }
 
+TEST(LossDeterminism, RepeatedSolvesAreBitwiseIdentical) {
+  // The objective and fit are sums over threads. A fixed root partition and
+  // a thread-ordered merge make repeated solves agree to the last bit at any
+  // thread count — objective trace, error trace and factors alike.
+  const CooTensor x = testing::random_coo({60, 50, 40}, 6000, 31);
+  const CsfSet csf(x);
+  for (const char* spec : {"kl", "huber", "frobenius:masked"}) {
+    CpdConfig cfg;
+    cfg.with_rank(4)
+        .with_seed(5)
+        .with_loss(parse_loss_spec(spec))
+        .with_constraints(
+            ModeConstraints::broadcast({ConstraintKind::kNonNegative}));
+    cfg.max_outer_iterations = 6;
+    cfg.tolerance = 0;
+    CpdSolver solver(csf, cfg);
+    const CpdResult a = solver.solve();
+    for (int rep = 0; rep < 3; ++rep) {
+      const CpdResult b = solver.solve();
+      ASSERT_EQ(a.objective_trace, b.objective_trace) << spec;
+      ASSERT_EQ(a.trace.size(), b.trace.size()) << spec;
+      for (std::size_t i = 0; i < a.trace.size(); ++i) {
+        ASSERT_EQ(a.trace.points()[i].relative_error,
+                  b.trace.points()[i].relative_error)
+            << spec << " outer " << i + 1;
+      }
+      for (std::size_t m = 0; m < a.factors.size(); ++m) {
+        const auto fa = a.factors[m].flat();
+        const auto fb = b.factors[m].flat();
+        for (std::size_t i = 0; i < fa.size(); ++i) {
+          ASSERT_EQ(fa[i], fb[i]) << spec << " factor " << m << " entry " << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(LossRecovery, GeneralizedTraceWritesFig6StyleJson) {
   const CooTensor x = testing::dense_lowrank_tensor({8, 7, 6}, 2, 0.05, 19);
   const CsfSet csf(x);
