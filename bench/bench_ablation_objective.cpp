@@ -1,13 +1,14 @@
 // Ablation (library extension): least-squares-over-all-cells CPD
-// (cpd_aoadmm; missing = zero) vs observed-only CPD (cpd_wopt; missing =
-// unknown) as the sampling density of a planted low-rank tensor varies.
+// (cpd_aoadmm; missing = zero) vs observed-only CPD (the frobenius:masked
+// loss; missing = unknown) as the sampling density of a planted low-rank
+// tensor varies.
 // Reports training fit and held-out RMSE: the observed-only objective
 // should dominate on sparsely sampled data and the gap should close as the
 // tensor approaches fully observed.
 #include <cstdio>
 
 #include "core/eval.hpp"
-#include "core/wcpd.hpp"
+#include "core/solver.hpp"
 #include "tensor/transform.hpp"
 #include "common.hpp"
 
@@ -55,17 +56,20 @@ int main() {
                        TablePrinter::fmt(r.times.total_seconds, 3)});
     }
     {
-      WcpdOptions opts;
-      opts.rank = 6;
-      opts.max_outer_iterations = bench_max_outer(40);
-      opts.ridge = 0.01;
-      const WcpdResult r = cpd_wopt(csf, opts, {&nonneg, 1});
+      CpdConfig cfg;
+      cfg.with_rank(6)
+          .with_max_outer(bench_max_outer(40))
+          .with_tolerance(1e-5)
+          .with_loss(parse_loss_spec("frobenius:masked"))
+          .with_constraints(ModeConstraints::broadcast(nonneg));
+      CpdSolver solver(csf, cfg);
+      const CpdResult r = solver.solve();
       const PredictionMetrics m = evaluate_predictions(split.test,
                                                        r.factors);
       table.print_row({TablePrinter::pct(fill, 0), "observed",
-                       TablePrinter::fmt(r.observed_relative_error, 4),
+                       TablePrinter::fmt(r.relative_error, 4),
                        TablePrinter::fmt(m.rmse, 4),
-                       TablePrinter::fmt(r.total_seconds, 3)});
+                       TablePrinter::fmt(r.times.total_seconds, 3)});
     }
   }
 

@@ -15,7 +15,7 @@
 #include "core/cpd.hpp"
 #include "core/eval.hpp"
 #include "core/kruskal.hpp"
-#include "core/wcpd.hpp"
+#include "core/solver.hpp"
 #include "tensor/coo.hpp"
 #include "tensor/transform.hpp"
 #include "util/options.hpp"
@@ -107,18 +107,19 @@ int main(int argc, char** argv) {
   const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
 
   // Ratings are NOT counts: an unobserved (user,item,context) cell means
-  // "unknown", not "zero" — so rating prediction uses the observed-only
-  // objective (cpd_wopt). The unweighted CPD is run alongside to show how
-  // badly zero-imputation distorts predictions.
-  WcpdOptions wopts;
-  wopts.rank = rank;
-  wopts.max_outer_iterations = 40;
-  wopts.tolerance = 1e-5;
-  wopts.ridge = 1.0;
-  const WcpdResult r = cpd_wopt(csf, wopts, {&nonneg, 1});
+  // "unknown", not "zero" — so rating prediction fits the observed entries
+  // only (the masked Frobenius loss). The unweighted CPD is run alongside to
+  // show how badly zero-imputation distorts predictions.
+  CpdConfig cfg;
+  cfg.with_rank(rank)
+      .with_max_outer(40)
+      .with_tolerance(1e-5)
+      .with_loss(parse_loss_spec("frobenius:masked"))
+      .with_constraints(ModeConstraints::broadcast(nonneg));
+  CpdSolver solver(csf, cfg);
+  const CpdResult r = solver.solve();
   std::printf("observed-only CPD: %u outer iterations, observed error %.4f\n",
-              r.outer_iterations,
-              static_cast<double>(r.observed_relative_error));
+              r.outer_iterations, static_cast<double>(r.relative_error));
 
   const PredictionMetrics holdout = evaluate_predictions(split.test,
                                                          r.factors);

@@ -30,7 +30,7 @@
 //             [--tile-rows N]
 //             [--max-outer 50] [--tol 1e-5] [--block 50] [--trace out.csv]
 //             [--threads N] [--save-factors prefix]
-//             [--objective ls|observed] [--ridge 1e-6]
+//             [--objective ls|observed]
 //             [--checkpoint run.ckpt] [--checkpoint-every 10]
 //             [--resume run.ckpt]
 //             [--robust] [--max-recoveries 3]
@@ -46,7 +46,9 @@
 // two-split ADMM and reports the loss objective alongside the observed
 // relative error; see docs/losses.md. --constraint likewise accepts a full
 // spec (e.g. `l1:0.05`, `box:0:1`, `simplex`); a bare kind takes its
-// strength from --lambda for backwards compatibility.
+// strength from --lambda for backwards compatibility. `--objective
+// observed` is another spelling of `--loss frobenius:masked` (missing =
+// unknown); the default `--objective ls` fits every cell (missing = zero).
 //
 // Adaptive rho (cpd): --adaptive-rho turns on residual-balancing of the
 // ADMM penalty (rho *= rescale when the primal residual exceeds ratio x
@@ -151,7 +153,6 @@
 #include "core/cpd.hpp"
 #include "core/loss.hpp"
 #include "core/solver.hpp"
-#include "core/wcpd.hpp"
 #include "dist/sharded_solver.hpp"
 #include "la/matrix_io.hpp"
 #include "obs/metrics.hpp"
@@ -444,7 +445,15 @@ int cmd_cpd(const Options& opts) {
   }
 
   const ConstraintSpec constraint = parse_cli_constraint(opts);
-  const LossSpec loss = parse_loss_spec(opts.get_string("loss", "frobenius"));
+  const std::string objective = opts.get_string("objective", "ls");
+  AOADMM_CHECK_MSG(objective == "ls" || objective == "observed",
+                   "--objective must be ls|observed");
+  const LossSpec loss = parse_loss_spec(opts.get_string(
+      "loss", objective == "observed" ? "frobenius:masked" : "frobenius"));
+  AOADMM_CHECK_MSG(objective == "ls" || (loss.kind == LossKind::kFrobenius &&
+                                         loss.masked),
+                   "--objective observed means --loss frobenius:masked; pass "
+                   "one or the other");
   const bool generalized_loss =
       loss.kind != LossKind::kFrobenius || loss.masked;
 
@@ -530,51 +539,6 @@ int cmd_cpd(const Options& opts) {
     }
   };
 
-  // --objective ls (default) minimizes over ALL cells (missing = zero);
-  // --objective observed minimizes over the stored non-zeros only
-  // (missing = unknown) via cpd_wopt.
-  const std::string objective = opts.get_string("objective", "ls");
-  if (objective == "observed") {
-    AOADMM_CHECK_MSG(!sharded,
-                     "--objective observed does not support "
-                     "--shards/--spill-dir");
-    AOADMM_CHECK_MSG(!csf->tiled(),
-                     "--objective observed does not support --tile-rows");
-    AOADMM_CHECK_MSG(!generalized_loss,
-                     "--objective observed is the weighted-Frobenius legacy "
-                     "path; use --loss frobenius:masked instead of combining "
-                     "the two");
-    WcpdOptions wopts;
-    wopts.rank = cpd_opts.rank;
-    wopts.max_outer_iterations = cpd_opts.max_outer_iterations;
-    wopts.tolerance = cpd_opts.tolerance;
-    wopts.seed = cpd_opts.seed;
-    wopts.ridge = static_cast<real_t>(opts.get_double("ridge", 1e-6));
-    const WcpdResult r = cpd_wopt(*csf, wopts, {&constraint, 1});
-    std::printf("\nobjective       : observed-only\n");
-    std::printf("outer iterations: %u (%s)\n", r.outer_iterations,
-                r.converged ? "converged" : "iteration cap");
-    std::printf("observed error  : %.6f\n",
-                static_cast<double>(r.observed_relative_error));
-    std::printf("time            : %.3f s\n", r.total_seconds);
-    if (const auto prefix = opts.get("save-factors")) {
-      write_factors(r.factors, *prefix);
-      std::printf("factors written to %s.mode*.mat\n", prefix->c_str());
-    }
-    if (const auto trace_path = opts.get("trace")) {
-      std::ofstream out(*trace_path);
-      AOADMM_CHECK_MSG(static_cast<bool>(out),
-                       "cannot write trace to " + *trace_path);
-      r.trace.write_csv(out);
-      std::printf("trace written to %s\n", trace_path->c_str());
-    }
-    // cpd_wopt has no per-iteration callback; the registry and any spans
-    // are still worth exporting.
-    export_observability();
-    return 0;
-  }
-  AOADMM_CHECK_MSG(objective == "ls", "--objective must be ls|observed");
-
   CpdConfig config(cpd_opts);
   config.with_constraints(ModeConstraints::broadcast(constraint));
   config.with_loss(loss);
@@ -602,24 +566,19 @@ int cmd_cpd(const Options& opts) {
     return 2;
   }
 
-  // Writes a ConvergenceTrace as CSV, or as the fig-6-style JSON when the
-  // path ends in .json.
-  const auto write_trace = [&](const ConvergenceTrace& trace,
-                               const std::string& path) {
-    std::ofstream out(path);
-    AOADMM_CHECK_MSG(static_cast<bool>(out), "cannot write trace to " + path);
-    if (has_suffix(path, ".json")) {
-      trace.write_json(out);
-    } else {
-      trace.write_csv(out);
-    }
-    std::printf("trace written to %s\n", path.c_str());
-  };
-
+  const auto resume_path = opts.get("resume");
+  if (resume_path) {
+    std::printf("resuming from %s\n", resume_path->c_str());
+  }
+  CpdResult r;
   // --couple: joint matrix-tensor factorization sharing the --couple-mode
   // factor with the side matrix.
+  std::optional<CoupledResult> coupled;
+  ExchangeStats exchange{};
+  TileResidency::Stats residency{};
+  std::size_t shard_count = 1;
   if (const auto couple_path = opts.get("couple")) {
-    AOADMM_CHECK_MSG(!opts.has("resume") && !opts.has("checkpoint"),
+    AOADMM_CHECK_MSG(!resume_path && !opts.has("checkpoint"),
                      "--couple does not support checkpoint/resume");
     AOADMM_CHECK_MSG(!sharded,
                      "--couple does not support --shards/--spill-dir");
@@ -632,45 +591,9 @@ int cmd_cpd(const Options& opts) {
     std::printf("coupling %zux%zu side matrix to mode %zu (weight %g)\n",
                 cm.y.rows(), cm.y.cols(), cm.mode,
                 static_cast<double>(cm.weight));
-
-    const CoupledResult cr = coupled_factorize(*csf, config, {cm});
-    const CpdResult& r = cr.cpd;
-    std::printf("\nouter iterations: %u (%s)\n", r.outer_iterations,
-                r.converged ? "converged" : "iteration cap");
-    std::printf("tensor error    : %.6f\n",
-                static_cast<double>(r.relative_error));
-    for (std::size_t c = 0; c < cr.matrix_relative_error.size(); ++c) {
-      std::printf("matrix %zu error  : %.6f\n", c,
-                  static_cast<double>(cr.matrix_relative_error[c]));
-    }
-    std::printf("combined error  : %.6f\n",
-                static_cast<double>(cr.combined_relative_error));
-    std::printf("time            : %.3f s\n", r.times.total_seconds);
-    if (const auto prefix = opts.get("save-factors")) {
-      write_factors(r.factors, *prefix);
-      for (std::size_t c = 0; c < cr.side_factors.size(); ++c) {
-        write_matrix_file(cr.side_factors[c],
-                          *prefix + ".side" + std::to_string(c) + ".mat");
-      }
-      std::printf("factors written to %s.mode*.mat (+.side*.mat)\n",
-                  prefix->c_str());
-    }
-    if (const auto trace_path = opts.get("trace")) {
-      write_trace(r.trace, *trace_path);
-    }
-    export_observability();
-    return 0;
-  }
-
-  const auto resume_path = opts.get("resume");
-  if (resume_path) {
-    std::printf("resuming from %s\n", resume_path->c_str());
-  }
-  CpdResult r;
-  ExchangeStats exchange{};
-  TileResidency::Stats residency{};
-  std::size_t shard_count = 1;
-  if (sharded) {
+    coupled = coupled_factorize(*csf, config, {cm});
+    r = coupled->cpd;
+  } else if (sharded) {
     ShardedCpdSolver solver(x, config);
     shard_count = solver.plan().shard_count();
     std::printf("shard plan: %zu shard(s), %s grid, signature %016llx\n",
@@ -715,6 +638,14 @@ int cmd_cpd(const Options& opts) {
   if (generalized_loss) {
     std::printf("loss objective  : %.6e\n", r.objective_value);
   }
+  if (coupled) {
+    for (std::size_t c = 0; c < coupled->matrix_relative_error.size(); ++c) {
+      std::printf("matrix %zu error  : %.6f\n", c,
+                  static_cast<double>(coupled->matrix_relative_error[c]));
+    }
+    std::printf("combined error  : %.6f  (the trace's measure)\n",
+                static_cast<double>(coupled->combined_relative_error));
+  }
   std::printf("time            : %.3f s  (MTTKRP %.0f%% / ADMM %.0f%% / "
               "other %.0f%%)\n",
               r.times.total_seconds, 100.0 * r.times.mttkrp_fraction(),
@@ -732,10 +663,24 @@ int cmd_cpd(const Options& opts) {
   if (const auto prefix = opts.get("save-factors")) {
     write_factors(r.factors, *prefix);
     std::printf("factors written to %s.mode*.mat\n", prefix->c_str());
+    for (std::size_t c = 0; coupled && c < coupled->side_factors.size(); ++c) {
+      const std::string path = *prefix + ".side" + std::to_string(c) + ".mat";
+      write_matrix_file(coupled->side_factors[c], path);
+      std::printf("side factor written to %s\n", path.c_str());
+    }
   }
 
+  // The trace as CSV, or as the fig-6-style JSON when the path ends in .json.
   if (const auto trace_path = opts.get("trace")) {
-    write_trace(r.trace, *trace_path);
+    std::ofstream out(*trace_path);
+    AOADMM_CHECK_MSG(static_cast<bool>(out),
+                     "cannot write trace to " + *trace_path);
+    if (has_suffix(*trace_path, ".json")) {
+      r.trace.write_json(out);
+    } else {
+      r.trace.write_csv(out);
+    }
+    std::printf("trace written to %s\n", trace_path->c_str());
   }
   export_observability();
   return 0;

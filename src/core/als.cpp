@@ -1,39 +1,79 @@
-#include <algorithm>
 #include <limits>
 
+#include "core/config.hpp"
 #include "core/cpd.hpp"
 #include "core/cpd_impl.hpp"
-#include "core/workspace.hpp"
+#include "core/outer_loop.hpp"
 #include "la/cholesky.hpp"
-#include "obs/metrics.hpp"
-#include "obs/parallel_stats.hpp"
 #include "obs/profile.hpp"
-#include "sparse/density.hpp"
-#include "tensor/alto.hpp"
 #include "util/error.hpp"
-#include "util/timer.hpp"
 
 namespace aoadmm {
 namespace {
 
-struct AlsMetrics {
-  obs::Counter runs;
-  obs::Counter outer_iterations;
-  obs::Counter mttkrp_calls;
-  obs::Histogram iteration_seconds;
+/// ALS as a step of the shared outer loop: the local step's MTTKRP, Grams
+/// and fit, with the unconstrained least-squares solve in place of ADMM
+/// (§II.C: "when no constraints are enforced, AO becomes ALS").
+class AlsStep final : public detail::LocalStep {
+ public:
+  AlsStep(const CsfSet& csf, const CpdConfig& config, MttkrpKernel kernel,
+          real_t ridge, detail::SolverState& state)
+      : LocalStep(csf, config, kernel, csf.norm_sq(), state), ridge_(ridge) {}
 
-  static const AlsMetrics& get() {
-    static const AlsMetrics m = [] {
-      auto& reg = obs::MetricsRegistry::global();
-      AlsMetrics out;
-      out.runs = reg.counter("als/runs");
-      out.outer_iterations = reg.counter("als/outer_iterations");
-      out.mttkrp_calls = reg.counter("als/mttkrp_calls");
-      out.iteration_seconds = reg.histogram("als/iteration_seconds");
-      return out;
-    }();
-    return m;
+  void begin_run() override {
+    {
+      AOADMM_PROFILE_SCOPE("cpd/init");
+      Rng rng(config_.seed);
+      detail::init_factors_into(csf_, config_.rank, rng, x_norm_sq_,
+                                state_.factors);
+    }
+    LocalStep::begin_run();
   }
+
+  detail::ModeSystem produce_k(unsigned outer, std::size_t m,
+                               bool retry) override {
+    const detail::ModeSystem sys = LocalStep::produce_k(outer, m, retry);
+    if (!retry) {
+      // A touch of ridge keeps the normal equations positive definite even
+      // when a factor momentarily loses rank.
+      Matrix& g = state_.ws.gram_prod;
+      const real_t eps = ridge_ + real_t{1e-12};
+      for (std::size_t i = 0; i < g.rows(); ++i) {
+        g(i, i) += eps;
+      }
+    }
+    return sys;
+  }
+
+  detail::ModeUpdateStats update(unsigned outer, std::size_t m,
+                                 CpdResult& result) override {
+    // Unlike the ADMM path, whose ρ = tr(G)/F ridge keeps the system
+    // well-conditioned, ALS adds only a tiny fixed ridge — on badly scaled
+    // rank-deficient data roundoff can swamp it and the plain Cholesky
+    // throws. The guarded variant escalates instead. The solve runs in
+    // place on the factor, so K stays intact for the fit.
+    AOADMM_PROFILE_SCOPE("cpd/solve");
+    Matrix& a = state_.factors[m];
+    a = state_.ws.mttkrp_out;
+    const RobustnessOptions& rb = config_.admm.robustness;
+    if (rb.enabled) {
+      const CholeskyReport cr = solve_normal_equations_guarded(
+          state_.ws.gram_prod, a,
+          {rb.cholesky_max_attempts, rb.cholesky_initial_jitter,
+           rb.cholesky_jitter_growth});
+      if (cr.attempts > 0) {
+        result.recovery.add({RecoveryKind::kCholeskyJitter, outer, m,
+                             cr.attempts, static_cast<double>(cr.jitter),
+                             std::string(), {}});
+      }
+    } else {
+      solve_normal_equations(state_.ws.gram_prod, a);
+    }
+    return {};
+  }
+
+ private:
+  const real_t ridge_;
 };
 
 }  // namespace
@@ -43,181 +83,18 @@ CpdResult cpd_als(const CsfSet& csf, const CpdOptions& opts, real_t ridge) {
   const std::size_t order = csf.order();
   AOADMM_CHECK(order >= 2);
   AOADMM_CHECK(ridge >= 0);
-  AOADMM_CHECK_MSG(!csf.tiled(),
-                   "cpd_als expects an untiled CsfSet (tiling is a CpdSolver "
-                   "feature); build the set with tile_rows = 0");
+  // ALS always reads dense leaf factors.
+  const MttkrpKernel kernel = detail::resolve_kernel(
+      csf, opts.mttkrp_kernel, LeafFormat::kDense, opts.rank);
 
-  const MttkrpKernel requested = opts.mttkrp_kernel;
-  if ((requested == MttkrpKernel::kDimTree ||
-       requested == MttkrpKernel::kAlto) &&
-      csf.strategy() != CsfStrategy::kOneMode) {
-    throw InvalidArgument(
-        std::string("mttkrp_kernel=") + to_string(requested) +
-        " caches intermediates over a single shared tree; rebuild the "
-        "CsfSet with CsfStrategy::kOneMode");
-  }
-  if (requested == MttkrpKernel::kDimTree && order < 3) {
-    throw InvalidArgument("mttkrp_kernel=dimtree needs order >= 3");
-  }
-  if (requested == MttkrpKernel::kAlto && !alto_linearizable(csf.dims())) {
-    throw InvalidArgument(
-        "mttkrp_kernel=alto: mode index bits exceed the 64-bit linearized "
-        "code; use onetree or dimtree for this tensor");
-  }
-  // ALS always reads dense leaf factors, so kAuto resolution sees
-  // dense_leaf = true.
-  const MttkrpKernel kernel =
-      resolve_auto_kernel(requested, csf.strategy(), /*tiled=*/false,
-                          /*dense_leaf=*/true, order, csf.dims(), csf.nnz(),
-                          opts.rank);
-
-  const AlsMetrics& metrics = AlsMetrics::get();
-  metrics.runs.add(1);
-
-  Timer wall;
-  wall.start();
-  Timer mttkrp_timer;
-  Timer solve_timer;
-
-  CpdResult result;
-  const real_t x_norm_sq = csf.norm_sq();
-  {
-    AOADMM_PROFILE_SCOPE("cpd/init");
-    result.factors =
-        detail::init_factors(csf, opts.rank, opts.seed, x_norm_sq);
-  }
-  CpdWorkspace ws(order);
-  {
-    AOADMM_PROFILE_SCOPE("cpd/gram");
-    for (std::size_t m = 0; m < order; ++m) {
-      gram(result.factors[m], ws.grams[m]);
-    }
-  }
-
-  real_t prev_error = std::numeric_limits<real_t>::infinity();
-  std::vector<double> mode_mttkrp_seconds(order, 0);
-
-  for (unsigned outer = 1; outer <= opts.max_outer_iterations; ++outer) {
-    AOADMM_PROFILE_SCOPE("cpd/outer");
-    const double iter_start_seconds = wall.seconds();
-    const obs::ParallelTotals parallel_before = obs::parallel_totals();
-    const double solve_seconds_before = solve_timer.seconds();
-    std::fill(mode_mttkrp_seconds.begin(), mode_mttkrp_seconds.end(), 0.0);
-
-    for (std::size_t m = 0; m < order; ++m) {
-      AOADMM_PROFILE_SCOPE("cpd/mode");
-      {
-        AOADMM_PROFILE_SCOPE("cpd/gram_product");
-        detail::gram_product_excluding(ws.grams, m, ws.gram_prod);
-        // A touch of ridge keeps the normal equations positive definite
-        // even when a factor momentarily loses rank.
-        const real_t eps = ridge + real_t{1e-12};
-        for (std::size_t i = 0; i < ws.gram_prod.rows(); ++i) {
-          ws.gram_prod(i, i) += eps;
-        }
-      }
-      {
-        const ScopedTimer t(mttkrp_timer);
-        const double before = mttkrp_timer.seconds();
-        ++result.mttkrp_count;
-        metrics.mttkrp_calls.add(1);
-        mttkrp_dispatch(csf.for_mode(m), result.factors, m, ws.mttkrp_out,
-                        opts.mttkrp_schedule, kernel, &ws.dimtree);
-        mode_mttkrp_seconds[m] = mttkrp_timer.seconds() - before;
-      }
-      {
-        // The least-squares solve plays the role ADMM does in AO-ADMM.
-        // Unlike the ADMM path, whose ρ = tr(G)/F ridge keeps the system
-        // well-conditioned, ALS adds only a tiny fixed ridge — on badly
-        // scaled rank-deficient data roundoff can swamp it and the plain
-        // Cholesky throws. The guarded variant escalates instead.
-        const ScopedTimer t(solve_timer);
-        AOADMM_PROFILE_SCOPE("cpd/solve");
-        const RobustnessOptions& rb = opts.admm.robustness;
-        if (rb.enabled) {
-          const CholeskyReport cr = solve_normal_equations_guarded(
-              ws.gram_prod, ws.mttkrp_out,
-              {rb.cholesky_max_attempts, rb.cholesky_initial_jitter,
-               rb.cholesky_jitter_growth});
-          if (cr.attempts > 0) {
-            result.recovery.add({RecoveryKind::kCholeskyJitter, outer, m,
-                                 cr.attempts, static_cast<double>(cr.jitter),
-                                 std::string(), {}});
-          }
-        } else {
-          solve_normal_equations(ws.gram_prod, ws.mttkrp_out);
-        }
-        result.factors[m] = ws.mttkrp_out;
-      }
-      {
-        AOADMM_PROFILE_SCOPE("cpd/gram");
-        gram(result.factors[m], ws.grams[m]);
-        ws.dimtree.invalidate_mode(m);
-      }
-    }
-
-    real_t err;
-    {
-      AOADMM_PROFILE_SCOPE("cpd/fit");
-      // mttkrp_out was overwritten by the solve; recompute the final-mode
-      // MTTKRP for an exact fit. (ALS is a baseline; simplicity wins.)
-      mttkrp_dispatch(csf.for_mode(order - 1), result.factors, order - 1,
-                      ws.mttkrp_out, opts.mttkrp_schedule, kernel,
-                      &ws.dimtree);
-      err = detail::fit_relative_error(x_norm_sq, ws.mttkrp_out,
-                                       result.factors[order - 1], ws.grams);
-    }
-    result.relative_error = err;
-    result.outer_iterations = outer;
-    if (opts.record_trace) {
-      result.trace.add(outer, wall.seconds(), err);
-    }
-
-    const double iter_seconds = wall.seconds() - iter_start_seconds;
-    metrics.outer_iterations.add(1);
-    metrics.iteration_seconds.observe(iter_seconds);
-
-    if (opts.on_iteration) {
-      obs::MetricsSnapshot snap;
-      snap.outer_iteration = outer;
-      snap.seconds = wall.seconds();
-      snap.iteration_seconds = iter_seconds;
-      snap.relative_error = err;
-      snap.mode_mttkrp_seconds = mode_mttkrp_seconds;
-      // ALS has no ADMM inner loop; the solve time fills its slot and the
-      // residual fields stay at their zero defaults.
-      snap.admm_seconds = solve_timer.seconds() - solve_seconds_before;
-      snap.thread_imbalance = obs::imbalance_since(parallel_before);
-      snap.factor_density.reserve(order);
-      for (std::size_t m = 0; m < order; ++m) {
-        snap.factor_density.push_back(
-            measure_density(result.factors[m]).density);
-      }
-      snap.mttkrp_count = result.mttkrp_count;
-      opts.on_iteration(snap);
-    }
-
-    if (prev_error - err < opts.tolerance && outer > 1) {
-      result.converged = true;
-      break;
-    }
-    prev_error = err;
-  }
-
-  wall.stop();
-  result.times.total_seconds = wall.seconds();
-  result.times.mttkrp_seconds = mttkrp_timer.seconds();
-  result.times.admm_seconds = solve_timer.seconds();
-  result.times.other_seconds = result.times.total_seconds -
-                               result.times.mttkrp_seconds -
-                               result.times.admm_seconds;
-
-  result.factor_density.reserve(order);
-  for (std::size_t m = 0; m < order; ++m) {
-    result.factor_density.push_back(
-        measure_density(result.factors[m]).density);
-  }
-  return result;
+  static const detail::LoopMetrics metrics =
+      detail::LoopMetrics::family("als");
+  CpdConfig config(opts);
+  config.leaf_format = LeafFormat::kDense;
+  detail::SolverState state(order);
+  AlsStep step(csf, config, kernel, ridge, state);
+  return detail::OuterLoop(config, metrics)
+      .run(step, 1, std::numeric_limits<double>::infinity(), CpdResult{});
 }
 
 }  // namespace aoadmm

@@ -6,24 +6,14 @@
 #include <string>
 #include <utility>
 
-#include "core/admm.hpp"
 #include "core/cpd_impl.hpp"
-#include "core/workspace.hpp"
+#include "core/outer_loop.hpp"
 #include "la/blas.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 
 namespace aoadmm {
 namespace {
-
-AdmmResult run_admm(Matrix& h, Matrix& u, const Matrix& k, const Matrix& g,
-                    const ProxOperator& prox, const CpdConfig& config,
-                    AdmmScratch& scratch) {
-  return config.variant == AdmmVariant::kBlocked
-             ? admm_update_blocked(h, u, k, g, prox, config.admm, scratch)
-             : admm_update(h, u, k, g, prox, config.admm, scratch);
-}
 
 /// ‖Y − A Wᵀ‖_F² by direct evaluation (the side matrices are dense and
 /// small next to the tensor).
@@ -39,6 +29,132 @@ double matrix_resid_sq(const Matrix& y, const Matrix& a, const Matrix& w) {
   }
   return resid;
 }
+
+/// The coupled step: the local step with each coupling folded into the
+/// shared mode's normal equations (K += β Y W, G += β WᵀW); the side
+/// factors are updated, and the combined fit measured, at the end of each
+/// outer iteration.
+class CoupledStep final : public detail::LocalStep {
+ public:
+  CoupledStep(const CsfSet& csf, const CpdConfig& config,
+              const std::vector<CoupledMatrix>& couplings,
+              MttkrpKernel kernel, detail::SolverState& state,
+              CoupledResult& out)
+      : LocalStep(csf, config, kernel,
+                  detail::tensor_norm_sq(csf.for_mode(0)), state),
+        couplings_(couplings), out_(out) {
+    const std::size_t f = config.rank;
+    state.build_prox(config.constraints);
+    state.zero_duals(csf.dims(), config.rank);
+    Rng init_rng(config.seed);
+    detail::init_factors_into(csf, config.rank, init_rng, x_norm_sq_,
+                              state.factors);
+
+    // Side factors: seeded uniform like the tensor factors, one RNG stream
+    // per coupling so adding a coupling never perturbs the others.
+    out_.side_factors.resize(couplings.size());
+    w_prox_.resize(couplings.size());
+    w_duals_.resize(couplings.size());
+    coupled_norm_sq_ = static_cast<double>(x_norm_sq_);
+    for (std::size_t c = 0; c < couplings.size(); ++c) {
+      const std::size_t j = couplings[c].y.cols();
+      Matrix& w = out_.side_factors[c];
+      w.resize(j, f);
+      Rng rng(config.seed + 0x9e3779b9u * (c + 1));
+      for (real_t& v : w.flat()) {
+        v = rng.uniform();
+      }
+      w_prox_[c] = make_prox(couplings[c].w_constraint);
+      w_duals_[c].resize(j, f);
+      coupled_norm_sq_ += static_cast<double>(couplings[c].weight) *
+                          static_cast<double>(fro_norm_sq(couplings[c].y));
+    }
+    out_.matrix_relative_error.assign(couplings.size(), 1);
+    g_side_.resize(f, f);
+  }
+
+  detail::ModeSystem produce_k(unsigned outer, std::size_t m,
+                               bool retry) override {
+    detail::ModeSystem sys = LocalStep::produce_k(outer, m, retry);
+    k_ = sys.k;
+    for (std::size_t c = 0; c < couplings_.size(); ++c) {
+      if (couplings_[c].mode != m) {
+        continue;
+      }
+      const real_t beta = couplings_[c].weight;
+      if (!retry) {
+        gram(out_.side_factors[c], g_side_);
+        axpy(beta, g_side_.flat(), state_.ws.gram_prod.flat());
+      }
+      // Augment a copy so ws.mttkrp_out stays the pure MTTKRP the tensor
+      // fit expects.
+      if (k_ != &k_aug_) {
+        k_aug_ = *sys.k;
+        k_ = &k_aug_;
+      }
+      const Matrix yw = matmul(couplings_[c].y, out_.side_factors[c]);
+      axpy(beta, yw.flat(), k_aug_.flat());
+    }
+    sys.k = k_;
+    return sys;
+  }
+
+  detail::ModeUpdateStats update(unsigned outer, std::size_t m,
+                                 CpdResult& result) override {
+    return detail::admm_mode_update(
+        config_.variant, state_.factors[m], state_.duals[m], *k_,
+        state_.ws.gram_prod, *state_.prox[m], config_.admm, state_.ws.admm,
+        outer, m, result);
+  }
+
+  detail::LoopFit fit(unsigned outer, CpdResult& result) override {
+    const std::vector<Matrix>& factors = state_.factors;
+    // Side-factor updates: min β‖Y − A Wᵀ‖² + r(W) — normal equations
+    // K_W = YᵀA, G_W = AᵀA (β scales both sides and cancels). Side factor
+    // c reports its recoveries as mode order + c.
+    for (std::size_t c = 0; c < couplings_.size(); ++c) {
+      const Matrix& a = factors[couplings_[c].mode];
+      const Matrix kw = matmul_tn(couplings_[c].y, a);
+      gram(a, g_side_);
+      detail::admm_mode_update(config_.variant, out_.side_factors[c],
+                               w_duals_[c], kw, g_side_, *w_prox_[c],
+                               config_.admm, w_scratch_, outer,
+                               factors.size() + c, result);
+    }
+
+    // Combined fit over the tensor and every coupled matrix.
+    const real_t tensor_err = LocalStep::fit(outer, result).error;
+    double resid_sq = static_cast<double>(tensor_err) *
+                      static_cast<double>(tensor_err) *
+                      static_cast<double>(x_norm_sq_);
+    for (std::size_t c = 0; c < couplings_.size(); ++c) {
+      const double mr = matrix_resid_sq(
+          couplings_[c].y, factors[couplings_[c].mode], out_.side_factors[c]);
+      const double y_norm = static_cast<double>(fro_norm_sq(couplings_[c].y));
+      out_.matrix_relative_error[c] =
+          y_norm > 0 ? static_cast<real_t>(std::sqrt(mr / y_norm))
+                     : static_cast<real_t>(std::sqrt(mr));
+      resid_sq += static_cast<double>(couplings_[c].weight) * mr;
+    }
+    const real_t combined =
+        coupled_norm_sq_ > 0
+            ? static_cast<real_t>(std::sqrt(resid_sq / coupled_norm_sq_))
+            : static_cast<real_t>(std::sqrt(resid_sq));
+    out_.combined_relative_error = combined;
+    return {combined, combined, false};
+  }
+
+ private:
+  const std::vector<CoupledMatrix>& couplings_;
+  CoupledResult& out_;
+  double coupled_norm_sq_ = 0;
+  std::vector<std::unique_ptr<ProxOperator>> w_prox_;
+  std::vector<Matrix> w_duals_;
+  AdmmScratch w_scratch_;  // separate: W row counts differ from the modes'
+  Matrix k_aug_;           // augmented K for coupled modes
+  const Matrix* k_ = nullptr;  // the K the next update reads
+  Matrix g_side_;          // WᵀW / AᵀA for the coupling terms
+};
 
 }  // namespace
 
@@ -57,6 +173,12 @@ CoupledResult coupled_factorize(const CsfSet& csf, const CpdConfig& config,
         "coupled_factorize: the coupling folds into the Frobenius normal "
         "equations and supports only the default unmasked frobenius loss "
         "(got " + to_cli_string(config.loss) + ")");
+  }
+  if (config.checkpoint_every > 0) {
+    throw InvalidArgument(
+        "coupled_factorize: checkpoints are not supported (the checkpoint "
+        "format holds no side factors and there is no resume entry point); "
+        "set checkpoint_every = 0");
   }
   for (std::size_t c = 0; c < couplings.size(); ++c) {
     const CoupledMatrix& cm = couplings[c];
@@ -78,143 +200,15 @@ CoupledResult coupled_factorize(const CsfSet& csf, const CpdConfig& config,
                             ": weight must be positive");
     }
   }
-
-  const std::size_t f = config.rank;
-  std::vector<std::unique_ptr<ProxOperator>> prox(order);
-  for (std::size_t m = 0; m < order; ++m) {
-    prox[m] = make_prox(config.constraints.for_mode(m));
-  }
-  std::vector<std::unique_ptr<ProxOperator>> w_prox(couplings.size());
-  for (std::size_t c = 0; c < couplings.size(); ++c) {
-    w_prox[c] = make_prox(couplings[c].w_constraint);
-  }
-
-  Timer wall;
-  wall.start();
+  const MttkrpKernel kernel = detail::resolve_kernel(
+      csf, config.mttkrp_kernel, config.leaf_format, config.rank);
 
   CoupledResult result;
-  const real_t x_norm_sq = detail::tensor_norm_sq(csf.for_mode(0));
-  result.cpd.factors = detail::init_factors(csf, config.rank, config.seed,
-                                            x_norm_sq);
-  std::vector<Matrix>& factors = result.cpd.factors;
-  std::vector<Matrix> duals(order);
-  for (std::size_t m = 0; m < order; ++m) {
-    duals[m].resize(dims[m], f);
-  }
-
-  // Side factors: seeded uniform like the tensor factors, one RNG stream
-  // per coupling so adding a coupling never perturbs the others.
-  result.side_factors.resize(couplings.size());
-  std::vector<Matrix> w_duals(couplings.size());
-  double coupled_norm_sq = static_cast<double>(x_norm_sq);
-  for (std::size_t c = 0; c < couplings.size(); ++c) {
-    const std::size_t j = couplings[c].y.cols();
-    Matrix& w = result.side_factors[c];
-    w.resize(j, f);
-    Rng rng(config.seed + 0x9e3779b9u * (c + 1));
-    for (real_t& v : w.flat()) {
-      v = rng.uniform();
-    }
-    w_duals[c].resize(j, f);
-    coupled_norm_sq += static_cast<double>(couplings[c].weight) *
-                       static_cast<double>(fro_norm_sq(couplings[c].y));
-  }
-
-  CpdWorkspace ws(order);
-  AdmmScratch w_scratch;  // separate: W row counts differ from the modes'
-  Matrix k_aug;           // augmented K for coupled modes
-  Matrix g_side(f, f);    // WᵀW / AᵀA for the coupling terms
-
-  result.matrix_relative_error.assign(couplings.size(), 1);
-  real_t prev_measure = std::numeric_limits<real_t>::infinity();
-
-  for (std::size_t m = 0; m < order; ++m) {
-    gram(factors[m], ws.grams[m]);
-  }
-
-  for (unsigned outer = 1; outer <= config.max_outer_iterations; ++outer) {
-    for (std::size_t m = 0; m < order; ++m) {
-      detail::gram_product_excluding(ws.grams, m, ws.gram_prod);
-      mttkrp_dispatch(csf.for_mode(m), factors, m, ws.mttkrp_out,
-                      config.mttkrp_schedule);
-      ++result.cpd.mttkrp_count;
-
-      // Fold each coupling on this mode into the normal equations:
-      // K += β Y W, G += β WᵀW. Augment copies so ws.mttkrp_out stays the
-      // pure MTTKRP the fit evaluation below expects.
-      bool coupled_mode = false;
-      for (std::size_t c = 0; c < couplings.size(); ++c) {
-        if (couplings[c].mode != m) {
-          continue;
-        }
-        if (!coupled_mode) {
-          k_aug = ws.mttkrp_out;
-          coupled_mode = true;
-        }
-        const real_t beta = couplings[c].weight;
-        const Matrix yw = matmul(couplings[c].y, result.side_factors[c]);
-        axpy(beta, yw.flat(), k_aug.flat());
-        gram(result.side_factors[c], g_side);
-        axpy(beta, g_side.flat(), ws.gram_prod.flat());
-      }
-
-      const AdmmResult ar =
-          run_admm(factors[m], duals[m], coupled_mode ? k_aug : ws.mttkrp_out,
-                   ws.gram_prod, *prox[m], config, ws.admm);
-      result.cpd.total_inner_iterations += ar.iterations;
-      result.cpd.total_row_iterations += ar.row_iterations;
-      gram(factors[m], ws.grams[m]);
-    }
-
-    // Side-factor updates: min β‖Y − A Wᵀ‖² + r(W) — normal equations
-    // K_W = YᵀA, G_W = AᵀA (β scales both sides and cancels).
-    for (std::size_t c = 0; c < couplings.size(); ++c) {
-      const Matrix& a = factors[couplings[c].mode];
-      const Matrix kw = matmul_tn(couplings[c].y, a);
-      gram(a, g_side);
-      const AdmmResult ar =
-          run_admm(result.side_factors[c], w_duals[c], kw, g_side,
-                   *w_prox[c], config, w_scratch);
-      result.cpd.total_inner_iterations += ar.iterations;
-      result.cpd.total_row_iterations += ar.row_iterations;
-    }
-
-    // Combined fit over the tensor and every coupled matrix.
-    const real_t tensor_err = detail::fit_relative_error(
-        x_norm_sq, ws.mttkrp_out, factors[order - 1], ws.grams, ws.fit_acc);
-    double resid_sq = static_cast<double>(tensor_err) *
-                      static_cast<double>(tensor_err) *
-                      static_cast<double>(x_norm_sq);
-    for (std::size_t c = 0; c < couplings.size(); ++c) {
-      const double mr = matrix_resid_sq(couplings[c].y,
-                                        factors[couplings[c].mode],
-                                        result.side_factors[c]);
-      const double y_norm = static_cast<double>(fro_norm_sq(couplings[c].y));
-      result.matrix_relative_error[c] =
-          y_norm > 0 ? static_cast<real_t>(std::sqrt(mr / y_norm))
-                     : static_cast<real_t>(std::sqrt(mr));
-      resid_sq += static_cast<double>(couplings[c].weight) * mr;
-    }
-    const real_t combined =
-        coupled_norm_sq > 0
-            ? static_cast<real_t>(std::sqrt(resid_sq / coupled_norm_sq))
-            : static_cast<real_t>(std::sqrt(resid_sq));
-
-    result.cpd.relative_error = tensor_err;
-    result.combined_relative_error = combined;
-    result.cpd.outer_iterations = outer;
-    if (config.record_trace) {
-      result.cpd.trace.add(outer, wall.seconds(), combined);
-    }
-    if (prev_measure - combined < config.tolerance && outer > 1) {
-      result.cpd.converged = true;
-      break;
-    }
-    prev_measure = combined;
-  }
-
-  wall.stop();
-  result.cpd.times.total_seconds = wall.seconds();
+  detail::SolverState state(order);
+  CoupledStep step(csf, config, couplings, kernel, state, result);
+  result.cpd = detail::OuterLoop(config, detail::LoopMetrics::shared())
+                   .run(step, 1, std::numeric_limits<double>::infinity(),
+                        CpdResult{});
   return result;
 }
 

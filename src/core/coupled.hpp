@@ -7,9 +7,9 @@
 // the standard way to graft side information (user features, gene
 // annotations, …) onto a sparse tensor. Frobenius data terms only: the
 // coupling folds into the shared mode's normal equations (K += β Y W,
-// G += β WᵀW), so every update reuses the stock ADMM machinery —
-// admm_update for the tensor modes with augmented systems, and a plain
-// least-squares ADMM for each W_c.
+// G += β WᵀW), so every update reuses the stock ADMM machinery
+// (admm_mode_update) on the shared outer loop — augmented systems for the
+// tensor modes, and a plain least-squares ADMM for each W_c.
 #pragma once
 
 #include <vector>
@@ -47,10 +47,11 @@ struct CoupledResult {
   real_t combined_relative_error = 1;
 };
 
-/// Run the coupled factorization. Uses rank/seed/tolerance/admm/variant/
-/// constraints from `config`; requires the default (unmasked Frobenius)
-/// loss and throws InvalidArgument on any other loss, on a coupling whose
-/// mode or row count does not match the tensor, or on weight <= 0.
+/// Run the coupled factorization on the shared outer loop (`config` applies
+/// as in CpdSolver). Throws InvalidArgument on any loss but the default
+/// unmasked Frobenius, on checkpoint_every > 0 (no side factors in the
+/// checkpoint format, no resume), on a coupling whose mode or row count
+/// does not match the tensor, or on weight <= 0.
 CoupledResult coupled_factorize(const CsfSet& csf, const CpdConfig& config,
                                 const std::vector<CoupledMatrix>& couplings);
 

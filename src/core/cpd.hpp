@@ -148,8 +148,8 @@ CpdResult cpd_aoadmm(const CsfSet& csf, const CpdOptions& opts,
 
 /// Unconstrained (or ridge-regularized) CPD via ALS — the classical
 /// baseline AO-ADMM generalizes (§II.C: "when no constraints are enforced,
-/// AO becomes ALS"). Uses rank/seed/tolerance/max_outer_iterations from
-/// `opts`; admm/variant/leaf options are ignored.
+/// AO becomes ALS"): the shared outer loop with a least-squares update.
+/// Of the ADMM, variant and leaf options only admm.robustness is read.
 CpdResult cpd_als(const CsfSet& csf, const CpdOptions& opts,
                   real_t ridge = 0);
 

@@ -1,5 +1,5 @@
-// Internal helpers shared by the AO-ADMM driver (cpd.cpp) and the ALS
-// baseline (als.cpp).
+// Internal helpers shared by the CPD drivers (core/outer_loop.hpp and its
+// steps).
 #pragma once
 
 #include <cmath>
@@ -60,13 +60,6 @@ inline real_t fit_relative_error(real_t x_norm_sq, const Matrix& k,
                        : std::sqrt(resid_sq);
 }
 
-inline real_t fit_relative_error(real_t x_norm_sq, const Matrix& k,
-                                 const Matrix& a_last,
-                                 const std::vector<Matrix>& grams) {
-  Matrix acc;
-  return fit_relative_error(x_norm_sq, k, a_last, grams, acc);
-}
-
 /// In-place factor initialization drawing from a caller-owned generator.
 /// Reuses the matrices' existing storage when shapes already match, so a
 /// session's repeated cold solves reallocate nothing. Draw order matches
@@ -119,15 +112,6 @@ inline void init_factors_into(const CsfSet& csf, rank_t rank, Rng& rng,
                               real_t x_norm_sq,
                               std::vector<Matrix>& factors) {
   init_factors_into(csf.dims(), rank, rng, x_norm_sq, factors);
-}
-
-inline std::vector<Matrix> init_factors(const CsfSet& csf, rank_t rank,
-                                        std::uint64_t seed,
-                                        real_t x_norm_sq) {
-  Rng rng(seed);
-  std::vector<Matrix> factors;
-  init_factors_into(csf, rank, rng, x_norm_sq, factors);
-  return factors;
 }
 
 }  // namespace aoadmm::detail

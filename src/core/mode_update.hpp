@@ -1,10 +1,7 @@
-// The per-mode ADMM update with its full guard-rail envelope, extracted
-// from the CpdSolver outer loop so the sharded coordinator
-// (dist/sharded_solver.hpp) runs the identical update — same variant
-// dispatch, same recovery bookkeeping, same metrics — on the globally
-// assembled MTTKRP. Both drivers therefore produce the same iterate given
-// the same (K, G) inputs, which is what makes the 1x1x1-grid sharded solve
-// bitwise-equal to the unsharded one.
+// The per-mode ADMM update with its full guard-rail envelope. Every
+// normal-equations step of the outer loop (core/outer_loop.hpp) runs it, so
+// drivers handed the same (K, G) produce the same iterate — which is what
+// makes the 1x1x1-grid sharded solve bitwise-equal to the unsharded one.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +19,10 @@ struct ModeUpdateStats {
   unsigned inner_iterations = 0;
   real_t primal_residual = 0;
   real_t dual_residual = 0;
+  /// Seconds of MTTKRP-equivalent work inside the update (row-system
+  /// assembly on the loss path). The outer loop books them under MTTKRP
+  /// instead of ADMM.
+  double mttkrp_seconds = 0;
 };
 
 /// Run the configured ADMM variant on one mode's assembled system

@@ -1,52 +1,23 @@
 #include "core/solver.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <utility>
 
 #include "core/cpd_impl.hpp"
-#include "core/mode_update.hpp"
+#include "core/outer_loop.hpp"
 #include "obs/metrics.hpp"
-#include "obs/parallel_stats.hpp"
 #include "obs/profile.hpp"
-#include "obs/telemetry/event_journal.hpp"
-#include "obs/telemetry/trace_context.hpp"
-#include "sparse/density.hpp"
-#include "tensor/alto.hpp"
-#include "testing/fault_injection.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
-#include "util/timer.hpp"
 
 namespace aoadmm {
 namespace {
 
-/// The driver's kernel-time breakdown (paper Fig. 3). Plain members — no
-/// name lookup, nothing shared across threads.
-struct KernelTimers {
-  Timer mttkrp;
-  Timer admm;
-  Timer other;
-};
-
-/// Registry handles the driver reports into; registered once per process.
+/// Registry handles the CpdSolver reports into; registered once per process.
 struct CpdMetrics {
-  obs::Counter runs;
-  obs::Counter outer_iterations;
-  obs::Counter mttkrp_calls;
-  obs::Counter sparse_mttkrp_calls;
-  obs::Counter mttkrp_seconds;
-  obs::Counter admm_seconds;
-  obs::Counter checkpoints_written;
-  obs::Counter robust_cholesky_jitter;
-  obs::Counter robust_admm_restarts;
-  obs::Counter robust_admm_abandoned;
-  obs::Counter robust_mttkrp_retries;
-  obs::Counter robust_factor_rollbacks;
-  obs::Counter robust_checkpoint_write_failures;
+  detail::LoopMetrics loop;
   obs::Counter robust_rho_rebalances;
-  obs::Histogram iteration_seconds;
   obs::Histogram admm_inner_iterations;
   obs::Histogram admm_primal_residual;
   obs::Histogram admm_dual_residual;
@@ -55,22 +26,11 @@ struct CpdMetrics {
     static const CpdMetrics m = [] {
       auto& reg = obs::MetricsRegistry::global();
       CpdMetrics out;
-      out.runs = reg.counter("cpd/runs");
-      out.outer_iterations = reg.counter("cpd/outer_iterations");
-      out.mttkrp_calls = reg.counter("cpd/mttkrp_calls");
-      out.sparse_mttkrp_calls = reg.counter("cpd/sparse_mttkrp_calls");
-      out.mttkrp_seconds = reg.counter("cpd/mttkrp_seconds");
-      out.admm_seconds = reg.counter("cpd/admm_seconds");
-      out.checkpoints_written = reg.counter("cpd/checkpoints_written");
-      out.robust_cholesky_jitter = reg.counter("robust/cholesky_jitter");
-      out.robust_admm_restarts = reg.counter("robust/admm_restarts");
-      out.robust_admm_abandoned = reg.counter("robust/admm_abandoned");
-      out.robust_mttkrp_retries = reg.counter("robust/mttkrp_retries");
-      out.robust_factor_rollbacks = reg.counter("robust/factor_rollbacks");
-      out.robust_checkpoint_write_failures =
-          reg.counter("robust/checkpoint_write_failures");
+      out.loop = detail::LoopMetrics::family("cpd");
+      out.loop.sparse_mttkrp_calls = reg.counter("cpd/sparse_mttkrp_calls");
+      out.loop.mttkrp_seconds = reg.counter("cpd/mttkrp_seconds");
+      out.loop.admm_seconds = reg.counter("cpd/admm_seconds");
       out.robust_rho_rebalances = reg.counter("robust/rho_rebalances");
-      out.iteration_seconds = reg.histogram("cpd/iteration_seconds");
       out.admm_inner_iterations = reg.histogram("admm/inner_iterations");
       out.admm_primal_residual = reg.histogram("admm/primal_residual");
       out.admm_dual_residual = reg.histogram("admm/dual_residual");
@@ -85,10 +45,7 @@ struct CpdMetrics {
 CpdSolver::CpdSolver(const CsfSet& csf, CpdConfig config)
     : csf_(csf),
       config_(std::move(config)),
-      ws_(csf.order()),
-      sparse_cache_(csf.order()),
-      rng_(config_.seed),
-      mode_mttkrp_seconds_(csf.order(), 0) {
+      state_(csf.order()) {
   const std::size_t order = csf_.order();
   AOADMM_CHECK(order >= 2);
 
@@ -96,11 +53,9 @@ CpdSolver::CpdSolver(const CsfSet& csf, CpdConfig config)
   if (!validation_.ok()) {
     throw InvalidArgument("invalid CpdConfig:\n" + validation_.to_string());
   }
+  state_.rng = Rng(config_.seed);
 
-  prox_.resize(order);
-  for (std::size_t m = 0; m < order; ++m) {
-    prox_[m] = make_prox(config_.constraints.for_mode(m));
-  }
+  state_.build_prox(config_.constraints);
 
   loss_ = make_loss(config_.loss);
   if (!loss_->quadratic()) {
@@ -128,84 +83,20 @@ CpdSolver::CpdSolver(const CsfSet& csf, CpdConfig config)
 
   // Kernel knob vs. the compilation actually handed in. validate() can only
   // see the config; the CsfSet is ground truth for what kernels can run.
-  const MttkrpKernel kernel = config_.mttkrp_kernel;
-  if (csf_.tiled()) {
-    if (kernel != MttkrpKernel::kAuto && kernel != MttkrpKernel::kTiled) {
-      throw InvalidArgument(
-          std::string("CsfSet holds tiled compilations but mttkrp_kernel=") +
-          to_string(kernel) + "; use kTiled or kAuto (or build the CsfSet "
-          "with tile_rows = 0)");
-    }
-    if (config_.leaf_format != LeafFormat::kDense) {
-      throw InvalidArgument(
-          "tiled MTTKRP supports only the DENSE leaf format; rebuild the "
-          "CsfSet untiled to use compressed leaf factors");
-    }
-  } else {
-    if (kernel == MttkrpKernel::kTiled) {
-      throw InvalidArgument(
-          "mttkrp_kernel=tiled but the CsfSet was built without tiling; "
-          "construct it with tile_rows > 0");
-    }
-    if (kernel == MttkrpKernel::kAllMode &&
-        csf_.strategy() != CsfStrategy::kAllMode) {
-      throw InvalidArgument(
-          "mttkrp_kernel=allmode but the CsfSet was compiled with the "
-          "one-mode strategy; rebuild it with CsfStrategy::kAllMode");
-    }
-    if (kernel == MttkrpKernel::kOneTree &&
-        csf_.strategy() == CsfStrategy::kAllMode) {
-      throw InvalidArgument(
-          "mttkrp_kernel=onetree but the CsfSet holds one tree per mode; "
-          "rebuild it with CsfStrategy::kOneMode to exercise the non-root "
-          "kernels");
-    }
-    if ((kernel == MttkrpKernel::kDimTree || kernel == MttkrpKernel::kAlto) &&
-        csf_.strategy() != CsfStrategy::kOneMode) {
-      throw InvalidArgument(
-          std::string("mttkrp_kernel=") + to_string(kernel) +
-          " caches intermediates over a single shared tree; rebuild the "
-          "CsfSet with CsfStrategy::kOneMode");
-    }
-    if (kernel == MttkrpKernel::kDimTree && order < 3) {
-      throw InvalidArgument(
-          "mttkrp_kernel=dimtree needs order >= 3 (an order-2 tree has no "
-          "partial contractions to cache)");
-    }
-    if (kernel == MttkrpKernel::kAlto && !alto_linearizable(csf_.dims())) {
-      throw InvalidArgument(
-          "mttkrp_kernel=alto: mode index bits exceed the 64-bit linearized "
-          "code; use onetree or dimtree for this tensor");
-    }
-  }
-  resolved_kernel_ = resolve_auto_kernel(
-      config_.mttkrp_kernel, csf_.strategy(), csf_.tiled(),
-      config_.leaf_format == LeafFormat::kDense, order, csf_.dims(),
-      csf_.nnz(), config_.rank);
-
+  resolved_kernel_ = detail::resolve_kernel(csf_, config_.mttkrp_kernel,
+                                            config_.leaf_format, config_.rank);
   x_norm_sq_ = csf_.norm_sq();
-}
-
-void CpdSolver::zero_duals() {
-  const std::size_t order = csf_.order();
-  const auto& dims = csf_.dims();
-  duals_.resize(order);
-  for (std::size_t m = 0; m < order; ++m) {
-    // resize zero-fills and reuses capacity, so a warmed session's repeat
-    // solves reset the duals without touching the allocator.
-    duals_[m].resize(dims[m], config_.rank);
-  }
 }
 
 CpdResult CpdSolver::solve() {
   AOADMM_PROFILE_SCOPE("cpd/aoadmm");
   {
     AOADMM_PROFILE_SCOPE("cpd/init");
-    rng_ = Rng(config_.seed);
-    detail::init_factors_into(csf_, config_.rank, rng_, x_norm_sq_,
-                              factors_);
+    state_.rng = Rng(config_.seed);
+    detail::init_factors_into(csf_, config_.rank, state_.rng, x_norm_sq_,
+                              state_.factors);
   }
-  zero_duals();
+  state_.zero_duals(csf_.dims(), config_.rank);
   return run(1, std::numeric_limits<real_t>::infinity(), CpdResult{});
 }
 
@@ -235,10 +126,10 @@ CpdResult CpdSolver::solve_warm(const KruskalTensor& model) {
     }
   }
 
-  factors_ = model.factors();
+  state_.factors = model.factors();
   // Fold the component weights into mode 0 so the seeded iterate represents
   // the same tensor the model does.
-  Matrix& a0 = factors_[0];
+  Matrix& a0 = state_.factors[0];
   const std::vector<real_t>& lambda = model.lambda();
   for (std::size_t i = 0; i < a0.rows(); ++i) {
     real_t* __restrict row = a0.data() + i * a0.cols();
@@ -250,13 +141,13 @@ CpdResult CpdSolver::solve_warm(const KruskalTensor& model) {
   // Keep the session's duals when a prior run left them behind — they
   // encode the constraint geometry near the warm iterate. A fresh session
   // starts them at zero like a cold solve.
-  bool duals_usable = duals_.size() == order;
+  bool duals_usable = state_.duals.size() == order;
   for (std::size_t m = 0; duals_usable && m < order; ++m) {
-    duals_usable = duals_[m].rows() == dims[m] &&
-                   duals_[m].cols() == config_.rank;
+    duals_usable = state_.duals[m].rows() == dims[m] &&
+                   state_.duals[m].cols() == config_.rank;
   }
   if (!duals_usable) {
-    zero_duals();
+    state_.zero_duals(csf_.dims(), config_.rank);
   }
   return run(1, std::numeric_limits<real_t>::infinity(), CpdResult{});
 }
@@ -264,585 +155,136 @@ CpdResult CpdSolver::solve_warm(const KruskalTensor& model) {
 CpdResult CpdSolver::resume(const std::string& checkpoint_path) {
   AOADMM_PROFILE_SCOPE("cpd/aoadmm");
   CpdCheckpoint ck = read_checkpoint_file(checkpoint_path);
-
-  const auto& dims = csf_.dims();
-  if (ck.dims != std::vector<index_t>(dims.begin(), dims.end())) {
-    throw InvalidArgument("resume: checkpoint tensor shape does not match "
-                          "this session's tensor");
-  }
-  if (ck.rank != config_.rank) {
-    throw InvalidArgument("resume: checkpoint rank " +
-                          std::to_string(ck.rank) +
-                          " does not match configured rank " +
-                          std::to_string(config_.rank));
-  }
-
-  factors_ = std::move(ck.factors);
-  duals_ = std::move(ck.duals);
-  rng_.set_state(ck.rng_state);
-
-  CpdResult result;
-  result.total_inner_iterations = ck.total_inner_iterations;
-  result.total_row_iterations = ck.total_row_iterations;
-  result.mttkrp_count = ck.mttkrp_count;
-  result.sparse_mttkrp_count = ck.sparse_mttkrp_count;
-  result.trace = std::move(ck.trace);
-  result.relative_error = ck.prev_error;
-  result.outer_iterations = ck.outer_iteration;
+  CpdResult result = detail::resume_into(ck, csf_.dims(), config_.rank, state_);
   return run(ck.outer_iteration + 1, ck.prev_error, std::move(result));
 }
 
-CpdResult CpdSolver::run(unsigned start_outer, real_t prev_error,
-                         CpdResult result) {
-  if (!loss_->quadratic()) {
-    // prev_error tracked relative error; the generalized loop converges on
-    // the loss objective and re-derives its own baseline.
-    return run_loss(start_outer, std::move(result));
-  }
-  const std::size_t order = csf_.order();
-  const CpdConfig& opts = config_;
-  const RobustnessOptions& rb = opts.admm.robustness;
-  const CpdMetrics& metrics = CpdMetrics::get();
-  metrics.runs.add(1);
-
-  Timer wall;
-  wall.start();
-  KernelTimers timers;
-
-  // Every entry point hands in fresh or restored factors; any cached
-  // dimension-tree partials belong to the previous iterate.
-  ws_.dimtree.invalidate_all();
-
-  {
-    const ScopedTimer t(timers.other);
-    AOADMM_PROFILE_SCOPE("cpd/gram");
-    for (std::size_t m = 0; m < order; ++m) {
-      gram(factors_[m], ws_.grams[m]);
-      sparse_cache_.invalidate(m);
+/// The generalized path for non-quadratic or masked losses: the per-row
+/// two-split ADMM of core/loss_solve.hpp assembles each row's system inside
+/// the update, and convergence is judged on the loss objective.
+class CpdSolver::LossStep final : public detail::OuterLoopStep {
+ public:
+  explicit LossStep(CpdSolver& s) : s_(s), st_(s.state_) {
+    if (!s.loss_->masked() && s.loss_->zero_fill_slope() != real_t{0}) {
+      zero_fill_s_.resize(s.config_.rank);
+      colsum_.resize(s.config_.rank);
     }
   }
 
-  for (unsigned outer = start_outer; outer <= opts.max_outer_iterations;
-       ++outer) {
-    AOADMM_PROFILE_SCOPE("cpd/outer");
-    // Cooperative stop: one check per outer iteration, before any work, so
-    // the factors are always the last completed iterate.
-    if (opts.cancel && opts.cancel->should_stop()) {
-      result.stop_reason = opts.cancel->cancelled() ? StopReason::kCancelled
-                                                    : StopReason::kDeadline;
-      AOADMM_LOG_WARN << "outer " << outer << ": stopping ("
-                      << to_string(result.stop_reason) << ")";
-      break;
-    }
-    const double iter_start_seconds = wall.seconds();
-    const obs::ParallelTotals parallel_before = obs::parallel_totals();
-    const obs::ParallelTotals mttkrp_before = obs::mttkrp_totals();
-    const double admm_seconds_before = timers.admm.seconds();
-    const detail::DimTreeStats dimtree_before = ws_.dimtree.stats();
-    std::fill(mode_mttkrp_seconds_.begin(), mode_mttkrp_seconds_.end(), 0.0);
-    std::uint64_t iter_inner_iterations = 0;
-    real_t worst_primal = 0;
-    real_t worst_dual = 0;
-    real_t sum_primal = 0;
-    real_t sum_dual = 0;
+  const detail::SolverState& state() const override { return st_; }
 
-    for (std::size_t m = 0; m < order; ++m) {
-      AOADMM_PROFILE_SCOPE("cpd/mode");
-      // A tiled set has no single tree per mode; the tiled kernel takes the
-      // whole TiledCsf below and everything tree-specific is skipped.
-      const CsfTensor* tree = csf_.tiled() ? nullptr : &csf_.for_mode(m);
+  void begin_run() override {
+    // Fresh split state for every entry point: t/u_t warm-start only across
+    // the outer iterations of this run, which keeps repeated solve() calls
+    // on one session deterministic.
+    s_.loss_ws_.reset(s_.csf_);
 
-      {
-        const ScopedTimer t(timers.other);
-        AOADMM_PROFILE_SCOPE("cpd/gram_product");
-        detail::gram_product_excluding(ws_.grams, m, ws_.gram_prod);
+    // Rows with no observations carry no data signal: pin them at prox(0)
+    // once so they cannot pollute the other modes' row systems.
+    for (std::size_t m = 0; m < st_.factors.size(); ++m) {
+      Matrix& a = st_.factors[m];
+      std::vector<bool> observed(a.rows(), false);
+      for (const index_t i : s_.csf_.for_mode(m).fids(0)) {
+        observed[i] = true;
       }
-      testing::maybe_corrupt_gram(ws_.gram_prod);
-
-      // MTTKRP, optionally with a compressed leaf factor. The leaf mode of
-      // this tree is the factor read once per non-zero — the only one worth
-      // compressing (paper §IV.C). Wrapped in a lambda so the non-finite
-      // sentinel below can re-run the kernel (a transient corruption — an
-      // injected fault, a flipped bit — does not recur on recompute).
-      ++result.mttkrp_count;
-      metrics.mttkrp_calls.add(1);
-      const double mttkrp_seconds_before = timers.mttkrp.seconds();
-      const auto compute_mttkrp = [&]() -> bool {
-        bool used_sparse = false;
-        // Sparse-leaf kernels exist for root-mode trees only (ALLMODE); a
-        // one-tree set serves non-root modes through the scatter kernels.
-        if (tree != nullptr && opts.leaf_format != LeafFormat::kDense &&
-            tree->level_mode(0) == m) {
-          const std::size_t leaf_mode = tree->level_mode(order - 1);
-          SparseFactorCache::Mirror mirror;
-          {
-            const ScopedTimer t(timers.other);
-            AOADMM_PROFILE_SCOPE("cpd/sparse_mirror");
-            mirror = sparse_cache_.refresh(leaf_mode, factors_[leaf_mode],
-                                           opts.leaf_format,
-                                           opts.sparsity_threshold);
-          }
-          if (mirror.csr != nullptr) {
-            const ScopedTimer t(timers.mttkrp);
-            mttkrp_csf_csr(*tree, factors_, *mirror.csr, ws_.mttkrp_out,
-                           opts.mttkrp_schedule);
-            used_sparse = true;
-          } else if (mirror.hybrid != nullptr) {
-            const ScopedTimer t(timers.mttkrp);
-            mttkrp_csf_hybrid(*tree, factors_, *mirror.hybrid,
-                              ws_.mttkrp_out, opts.mttkrp_schedule);
-            used_sparse = true;
-          }
+      for (std::size_t i = 0; i < observed.size(); ++i) {
+        if (!observed[i]) {
+          auto row = a.row(i);
+          std::fill(row.begin(), row.end(), real_t{0});
+          st_.prox[m]->apply(a, i, i + 1, real_t{1});
         }
-        if (!used_sparse) {
-          const ScopedTimer t(timers.mttkrp);
-          if (tree == nullptr) {
-            mttkrp_tiled(csf_.tiled_for_mode(m), factors_, ws_.mttkrp_out,
-                         opts.mttkrp_schedule);
-          } else {
-            mttkrp_dispatch(*tree, factors_, m, ws_.mttkrp_out,
-                            opts.mttkrp_schedule, resolved_kernel_,
-                            &ws_.dimtree);
-          }
-        }
-        testing::maybe_inject_nan(ws_.mttkrp_out);
-        return used_sparse;
-      };
-      bool used_sparse = compute_mttkrp();
-      if (rb.enabled && rb.check_finite && !all_finite(ws_.mttkrp_out)) {
-        unsigned attempts = 0;
-        while (attempts < rb.max_recoveries &&
-               !all_finite(ws_.mttkrp_out)) {
-          ++attempts;
-          // A cached partial could carry the corruption; recompute from the
-          // factors, not from the tree's intermediates.
-          ws_.dimtree.invalidate_all();
-          used_sparse = compute_mttkrp();
-        }
-        result.recovery.add({RecoveryKind::kMttkrpRetry, outer, m, attempts,
-                             0, std::string(), {}});
-        metrics.robust_mttkrp_retries.add(1);
-        AOADMM_LOG_WARN << "outer " << outer << " mode " << m
-                        << ": non-finite MTTKRP output, recomputed ("
-                        << attempts << " retries)";
-        if (!all_finite(ws_.mttkrp_out)) {
-          throw NumericalError(
-              "MTTKRP output for mode " + std::to_string(m) +
-              " is non-finite even after " + std::to_string(attempts) +
-              " recomputes");
-        }
-      }
-      if (used_sparse) {
-        ++result.sparse_mttkrp_count;
-        metrics.sparse_mttkrp_calls.add(1);
-      }
-      mode_mttkrp_seconds_[m] =
-          timers.mttkrp.seconds() - mttkrp_seconds_before;
-
-      {
-        const ScopedTimer t(timers.admm);
-        const detail::ModeUpdateStats ms = detail::admm_mode_update(
-            opts.variant, factors_[m], duals_[m], ws_.mttkrp_out,
-            ws_.gram_prod, *prox_[m], opts.admm, ws_.admm, outer, m, result);
-        iter_inner_iterations += ms.inner_iterations;
-        worst_primal = std::max(worst_primal, ms.primal_residual);
-        worst_dual = std::max(worst_dual, ms.dual_residual);
-        sum_primal += ms.primal_residual;
-        sum_dual += ms.dual_residual;
-      }
-
-      {
-        const ScopedTimer t(timers.other);
-        AOADMM_PROFILE_SCOPE("cpd/gram");
-        gram(factors_[m], ws_.grams[m]);
-        sparse_cache_.invalidate(m);
-        // Drop exactly the dimension-tree partials that read this factor;
-        // the rest stay warm for the remaining modes of the sweep.
-        ws_.dimtree.invalidate_mode(m);
-      }
-    }
-
-    // Fit: exact, reusing the final mode's MTTKRP output (see cpd_impl.hpp).
-    real_t err;
-    {
-      const ScopedTimer t(timers.other);
-      AOADMM_PROFILE_SCOPE("cpd/fit");
-      err = detail::fit_relative_error(x_norm_sq_, ws_.mttkrp_out,
-                                       factors_[order - 1], ws_.grams,
-                                       ws_.fit_acc);
-    }
-    result.relative_error = err;
-    result.outer_iterations = outer;
-    if (opts.record_trace) {
-      result.trace.add(outer, wall.seconds(), err);
-    }
-    AOADMM_LOG_DEBUG << "outer " << outer << " relative_error " << err;
-
-    const double iter_seconds = wall.seconds() - iter_start_seconds;
-    metrics.outer_iterations.add(1);
-    metrics.iteration_seconds.observe(iter_seconds);
-
-    if (opts.on_iteration) {
-      obs::MetricsSnapshot snap;
-      snap.outer_iteration = outer;
-      snap.seconds = wall.seconds();
-      snap.iteration_seconds = iter_seconds;
-      snap.relative_error = err;
-      snap.mode_mttkrp_seconds = mode_mttkrp_seconds_;
-      snap.admm_seconds = timers.admm.seconds() - admm_seconds_before;
-      snap.admm_inner_iterations = iter_inner_iterations;
-      snap.worst_primal_residual = worst_primal;
-      snap.mean_primal_residual = sum_primal / static_cast<real_t>(order);
-      snap.worst_dual_residual = worst_dual;
-      snap.mean_dual_residual = sum_dual / static_cast<real_t>(order);
-      snap.thread_imbalance = obs::imbalance_since(parallel_before);
-      snap.mttkrp_imbalance = obs::mttkrp_imbalance_since(mttkrp_before);
-      {
-        const obs::ParallelTotals mttkrp_now = obs::mttkrp_totals();
-        snap.mttkrp_max_busy_seconds =
-            mttkrp_now.max_busy_seconds - mttkrp_before.max_busy_seconds;
-        snap.mttkrp_mean_busy_seconds =
-            mttkrp_now.mean_busy_seconds - mttkrp_before.mean_busy_seconds;
-      }
-      snap.factor_density.reserve(order);
-      for (std::size_t m = 0; m < order; ++m) {
-        snap.factor_density.push_back(measure_density(factors_[m]).density);
-      }
-      snap.mttkrp_count = result.mttkrp_count;
-      snap.sparse_mttkrp_count = result.sparse_mttkrp_count;
-      {
-        const detail::DimTreeStats dt = ws_.dimtree.stats();
-        snap.dimtree_levels_computed =
-            dt.levels_computed - dimtree_before.levels_computed;
-        snap.dimtree_levels_reused =
-            dt.levels_reused - dimtree_before.levels_reused;
-      }
-      opts.on_iteration(snap);
-    }
-
-    const bool converged_now = prev_error - err < opts.tolerance && outer > 1;
-    prev_error = err;
-
-    if (!converged_now && config_.checkpoint_every > 0 &&
-        outer % config_.checkpoint_every == 0) {
-      const ScopedTimer t(timers.other);
-      AOADMM_PROFILE_SCOPE("cpd/checkpoint");
-      CpdCheckpoint ck;
-      const auto& dims = csf_.dims();
-      ck.dims.assign(dims.begin(), dims.end());
-      ck.rank = opts.rank;
-      ck.seed = opts.seed;
-      ck.rng_state = rng_.state();
-      ck.outer_iteration = outer;
-      ck.prev_error = prev_error;
-      ck.total_inner_iterations = result.total_inner_iterations;
-      ck.total_row_iterations = result.total_row_iterations;
-      ck.mttkrp_count = result.mttkrp_count;
-      ck.sparse_mttkrp_count = result.sparse_mttkrp_count;
-      ck.factors = factors_;
-      ck.duals = duals_;
-      ck.trace = result.trace;
-      try {
-        write_checkpoint_file(ck, config_.checkpoint_path);
-        metrics.checkpoints_written.add(1);
-        obs::journal_event(
-            obs::EventKind::kCheckpointWritten, obs::current_trace(),
-            obs::EventJournal::Fields{}
-                .num("outer_iteration", static_cast<std::uint64_t>(outer))
-                .str("path", config_.checkpoint_path));
-      } catch (const CheckpointError& e) {
-        // The writer guarantees the previous checkpoint is untouched, so
-        // under robustness a failed write is survivable: record it and
-        // keep iterating. Without robustness, fail fast as before.
-        if (!rb.enabled) {
-          throw;
-        }
-        result.recovery.add({RecoveryKind::kCheckpointWriteFailure, outer, 0,
-                             0, 0, e.what(), {}});
-        metrics.robust_checkpoint_write_failures.add(1);
-        AOADMM_LOG_WARN << "outer " << outer
-                        << ": checkpoint write failed (continuing): "
-                        << e.what();
-      }
-    }
-
-    if (converged_now) {
-      result.converged = true;
-      result.stop_reason = StopReason::kConverged;
-      break;
-    }
-  }
-
-  wall.stop();
-  result.times.total_seconds = wall.seconds();
-  result.times.mttkrp_seconds = timers.mttkrp.seconds();
-  result.times.admm_seconds = timers.admm.seconds();
-  result.times.other_seconds = result.times.total_seconds -
-                               result.times.mttkrp_seconds -
-                               result.times.admm_seconds;
-  metrics.mttkrp_seconds.add(result.times.mttkrp_seconds);
-  metrics.admm_seconds.add(result.times.admm_seconds);
-
-  result.factors = factors_;
-  result.factor_density.clear();
-  result.factor_density.reserve(order);
-  for (std::size_t m = 0; m < order; ++m) {
-    result.factor_density.push_back(measure_density(factors_[m]).density);
-  }
-  return result;
-}
-
-CpdResult CpdSolver::run_loss(unsigned start_outer, CpdResult result) {
-  AOADMM_PROFILE_SCOPE("cpd/loss");
-  const std::size_t order = csf_.order();
-  const CpdConfig& opts = config_;
-  const CpdMetrics& metrics = CpdMetrics::get();
-  metrics.runs.add(1);
-
-  Timer wall;
-  wall.start();
-  KernelTimers timers;
-
-  // Fresh split state for every entry point: t/u_t warm-start only across
-  // the outer iterations of this run, which keeps repeated solve() calls
-  // on one session deterministic.
-  loss_ws_.reset(csf_);
-
-  // Rows with no observations carry no data signal: pin them at prox(0)
-  // once so they cannot pollute the other modes' row systems.
-  for (std::size_t m = 0; m < order; ++m) {
-    const CsfTensor& tree = csf_.for_mode(m);
-    std::vector<bool> observed(factors_[m].rows(), false);
-    for (const index_t i : tree.fids(0)) {
-      observed[i] = true;
-    }
-    for (std::size_t i = 0; i < observed.size(); ++i) {
-      if (!observed[i]) {
-        auto row = factors_[m].row(i);
-        std::fill(row.begin(), row.end(), real_t{0});
-        prox_[m]->apply(factors_[m], i, i + 1, real_t{1});
       }
     }
   }
 
-  const bool zero_fill =
-      !loss_->masked() && loss_->zero_fill_slope() != real_t{0};
-  const std::size_t f = opts.rank;
-  std::vector<real_t> colsums(zero_fill ? order * f : 0);
-  std::vector<real_t> zero_fill_s(zero_fill ? f : 0);
-
-  double prev_objective = std::numeric_limits<double>::infinity();
-  // Row-system assembly is the generalized path's MTTKRP: report it under
-  // the same headings instead of leaving the kernel breakdown at zero.
-  double assemble_total_seconds = 0;
-
-  for (unsigned outer = start_outer; outer <= opts.max_outer_iterations;
-       ++outer) {
-    AOADMM_PROFILE_SCOPE("cpd/outer");
-    if (opts.cancel && opts.cancel->should_stop()) {
-      result.stop_reason = opts.cancel->cancelled() ? StopReason::kCancelled
-                                                    : StopReason::kDeadline;
-      AOADMM_LOG_WARN << "outer " << outer << ": stopping ("
-                      << to_string(result.stop_reason) << ")";
-      break;
-    }
-    const double iter_start_seconds = wall.seconds();
-    const double admm_seconds_before = timers.admm.seconds();
-    std::fill(mode_mttkrp_seconds_.begin(), mode_mttkrp_seconds_.end(), 0.0);
-    std::uint64_t iter_inner_iterations = 0;
-    real_t worst_primal = 0;
-    real_t worst_dual = 0;
-    real_t sum_primal = 0;
-    real_t sum_dual = 0;
-
-    if (zero_fill) {
-      const ScopedTimer t(timers.other);
-      for (std::size_t n = 0; n < order; ++n) {
-        real_t* cs = colsums.data() + n * f;
-        std::fill(cs, cs + f, real_t{0});
-        const Matrix& a = factors_[n];
+  detail::ModeSystem produce_k(unsigned outer, std::size_t m,
+                               bool retry) override {
+    (void)outer;
+    (void)retry;
+    if (!zero_fill_s_.empty()) {
+      // s[f] = Π_{n≠m} colsum_n[f]: the model mass a unit of h[f]
+      // contributes across the whole slice, observed or not.
+      const std::size_t f = zero_fill_s_.size();
+      std::fill(zero_fill_s_.begin(), zero_fill_s_.end(), real_t{1});
+      for (std::size_t n = 0; n < st_.factors.size(); ++n) {
+        if (n == m) {
+          continue;
+        }
+        const Matrix& a = st_.factors[n];
+        std::fill(colsum_.begin(), colsum_.end(), real_t{0});
         for (std::size_t i = 0; i < a.rows(); ++i) {
           const real_t* row = a.data() + i * f;
           for (std::size_t col = 0; col < f; ++col) {
-            cs[col] += row[col];
+            colsum_[col] += row[col];
           }
         }
-      }
-    }
-
-    for (std::size_t m = 0; m < order; ++m) {
-      AOADMM_PROFILE_SCOPE("cpd/mode");
-      const CsfTensor& tree = csf_.for_mode(m);
-
-      cspan<const real_t> s_span;
-      if (zero_fill) {
-        // s[f] = Π_{n≠m} colsum_n[f]: the model mass a unit of h[f]
-        // contributes across the whole slice, observed or not.
         for (std::size_t col = 0; col < f; ++col) {
-          zero_fill_s[col] = 1;
-        }
-        for (std::size_t n = 0; n < order; ++n) {
-          if (n == m) {
-            continue;
-          }
-          const real_t* cs = colsums.data() + n * f;
-          for (std::size_t col = 0; col < f; ++col) {
-            zero_fill_s[col] *= cs[col];
-          }
-        }
-        s_span = {zero_fill_s.data(), f};
-      }
-
-      const ScopedTimer t(timers.admm);
-      const LossUpdateResult lr =
-          loss_mode_update(tree, factors_, duals_[m], m, *loss_, *prox_[m],
-                           opts.admm, s_span, loss_ws_.modes[m]);
-      mode_mttkrp_seconds_[m] = lr.assemble_seconds;
-      assemble_total_seconds += lr.assemble_seconds;
-      result.total_inner_iterations += lr.iterations;
-      result.total_row_iterations += lr.row_iterations;
-      iter_inner_iterations += lr.iterations;
-      worst_primal = std::max(worst_primal, lr.primal_residual);
-      worst_dual = std::max(worst_dual, lr.dual_residual);
-      sum_primal += lr.primal_residual;
-      sum_dual += lr.dual_residual;
-      metrics.admm_inner_iterations.observe(lr.iterations);
-      metrics.admm_primal_residual.observe(
-          static_cast<double>(lr.primal_residual));
-      metrics.admm_dual_residual.observe(
-          static_cast<double>(lr.dual_residual));
-      if (lr.rho_rebalances > 0) {
-        result.recovery.add({RecoveryKind::kRhoRebalance, outer, m,
-                             lr.rho_rebalances, 0, std::string(), {}});
-        metrics.robust_rho_rebalances.add(lr.rho_rebalances);
-      }
-
-      if (zero_fill) {
-        // Refresh this mode's column sums for the remaining modes.
-        real_t* cs = colsums.data() + m * f;
-        std::fill(cs, cs + f, real_t{0});
-        const Matrix& a = factors_[m];
-        for (std::size_t i = 0; i < a.rows(); ++i) {
-          const real_t* row = a.data() + i * f;
-          for (std::size_t col = 0; col < f; ++col) {
-            cs[col] += row[col];
-          }
+          zero_fill_s_[col] *= colsum_[col];
         }
       }
     }
+    // No K: the update assembles each row's system from the mode's tree.
+    return {};
+  }
 
-    LossObjective lo;
-    {
-      const ScopedTimer t(timers.other);
-      AOADMM_PROFILE_SCOPE("cpd/fit");
-      lo = loss_objective(csf_.for_mode(0), factors_, *loss_, x_norm_sq_);
+  detail::ModeUpdateStats update(unsigned outer, std::size_t m,
+                                 CpdResult& result) override {
+    const CpdMetrics& metrics = CpdMetrics::get();
+    const LossUpdateResult lr = loss_mode_update(
+        s_.csf_.for_mode(m), st_.factors, st_.duals[m], m, *s_.loss_,
+        *st_.prox[m], s_.config_.admm,
+        {zero_fill_s_.data(), zero_fill_s_.size()}, s_.loss_ws_.modes[m]);
+    result.total_inner_iterations += lr.iterations;
+    result.total_row_iterations += lr.row_iterations;
+    metrics.admm_inner_iterations.observe(static_cast<double>(lr.iterations));
+    metrics.admm_primal_residual.observe(
+        static_cast<double>(lr.primal_residual));
+    metrics.admm_dual_residual.observe(static_cast<double>(lr.dual_residual));
+    if (lr.rho_rebalances > 0) {
+      result.recovery.add({RecoveryKind::kRhoRebalance, outer, m,
+                           lr.rho_rebalances, 0, std::string(), {}});
+      metrics.robust_rho_rebalances.add(lr.rho_rebalances);
     }
+    // Row-system assembly is this path's MTTKRP: book it there.
+    return {static_cast<unsigned>(lr.iterations), lr.primal_residual,
+            lr.dual_residual, lr.assemble_seconds};
+  }
+
+  detail::LoopFit fit(unsigned outer, CpdResult& result) override {
+    const LossObjective lo = loss_objective(s_.csf_.for_mode(0), st_.factors,
+                                            *s_.loss_, s_.x_norm_sq_);
     result.objective_value = lo.objective;
     result.relative_error = lo.observed_relative_error;
-    result.outer_iterations = outer;
     result.objective_trace.push_back(lo.objective);
-    if (opts.record_trace) {
-      result.trace.add(outer, wall.seconds(), lo.observed_relative_error);
-    }
     AOADMM_LOG_DEBUG << "outer " << outer << " objective " << lo.objective
                      << " observed_relative_error "
                      << lo.observed_relative_error;
-
-    const double iter_seconds = wall.seconds() - iter_start_seconds;
-    metrics.outer_iterations.add(1);
-    metrics.iteration_seconds.observe(iter_seconds);
-
-    if (opts.on_iteration) {
-      obs::MetricsSnapshot snap;
-      snap.outer_iteration = outer;
-      snap.seconds = wall.seconds();
-      snap.iteration_seconds = iter_seconds;
-      snap.relative_error = lo.observed_relative_error;
-      snap.mode_mttkrp_seconds = mode_mttkrp_seconds_;
-      double assemble_iter = 0;
-      for (const double s : mode_mttkrp_seconds_) {
-        assemble_iter += s;
-      }
-      snap.admm_seconds =
-          timers.admm.seconds() - admm_seconds_before - assemble_iter;
-      snap.admm_inner_iterations = iter_inner_iterations;
-      snap.worst_primal_residual = worst_primal;
-      snap.mean_primal_residual = sum_primal / static_cast<real_t>(order);
-      snap.worst_dual_residual = worst_dual;
-      snap.mean_dual_residual = sum_dual / static_cast<real_t>(order);
-      snap.factor_density.reserve(order);
-      for (std::size_t m = 0; m < order; ++m) {
-        snap.factor_density.push_back(measure_density(factors_[m]).density);
-      }
-      opts.on_iteration(snap);
-    }
-
-    // Convergence on the objective: relative decrease below tolerance.
-    // The scale guard makes the test meaningful for objectives far from 1
-    // (KL on counts can sit in the thousands).
-    const double scale = std::max(1.0, std::abs(prev_objective));
-    const bool converged_now =
-        outer > 1 && std::isfinite(prev_objective) &&
-        (prev_objective - lo.objective) < opts.tolerance * scale;
-    prev_objective = lo.objective;
-
-    if (!converged_now && config_.checkpoint_every > 0 &&
-        outer % config_.checkpoint_every == 0) {
-      const ScopedTimer t(timers.other);
-      AOADMM_PROFILE_SCOPE("cpd/checkpoint");
-      CpdCheckpoint ck;
-      const auto& dims = csf_.dims();
-      ck.dims.assign(dims.begin(), dims.end());
-      ck.rank = opts.rank;
-      ck.seed = opts.seed;
-      ck.rng_state = rng_.state();
-      ck.outer_iteration = outer;
-      ck.prev_error = lo.observed_relative_error;
-      ck.total_inner_iterations = result.total_inner_iterations;
-      ck.total_row_iterations = result.total_row_iterations;
-      ck.mttkrp_count = result.mttkrp_count;
-      ck.sparse_mttkrp_count = result.sparse_mttkrp_count;
-      ck.factors = factors_;
-      ck.duals = duals_;
-      ck.trace = result.trace;
-      try {
-        write_checkpoint_file(ck, config_.checkpoint_path);
-        metrics.checkpoints_written.add(1);
-      } catch (const CheckpointError& e) {
-        if (!opts.admm.robustness.enabled) {
-          throw;
-        }
-        result.recovery.add({RecoveryKind::kCheckpointWriteFailure, outer, 0,
-                             0, 0, e.what(), {}});
-        metrics.robust_checkpoint_write_failures.add(1);
-      }
-    }
-
-    if (converged_now) {
-      result.converged = true;
-      result.stop_reason = StopReason::kConverged;
-      break;
-    }
+    // Converge on the objective's relative decrease: KL on counts can sit
+    // in the thousands, far from the unit scale of a relative error.
+    return {lo.observed_relative_error, lo.objective, true};
   }
 
-  wall.stop();
-  result.times.total_seconds = wall.seconds();
-  result.times.mttkrp_seconds = assemble_total_seconds;
-  result.times.admm_seconds =
-      std::max(0.0, timers.admm.seconds() - assemble_total_seconds);
-  result.times.other_seconds = result.times.total_seconds -
-                               result.times.mttkrp_seconds -
-                               result.times.admm_seconds;
-  metrics.mttkrp_seconds.add(result.times.mttkrp_seconds);
-  metrics.admm_seconds.add(result.times.admm_seconds);
+  CpdSolver& s_;
+  detail::SolverState& st_;
+  // Unmasked losses with a zero-fill slope only (empty otherwise).
+  std::vector<real_t> zero_fill_s_;
+  std::vector<real_t> colsum_;
+};
 
-  result.factors = factors_;
-  result.factor_density.clear();
-  result.factor_density.reserve(order);
-  for (std::size_t m = 0; m < order; ++m) {
-    result.factor_density.push_back(measure_density(factors_[m]).density);
+CpdResult CpdSolver::run(unsigned start_outer, real_t prev_error,
+                         CpdResult result) {
+  const detail::OuterLoop loop(config_, CpdMetrics::get().loop);
+  if (loss_->quadratic()) {
+    detail::LocalStep step(csf_, config_, resolved_kernel_, x_norm_sq_,
+                           state_);
+    return loop.run(step, start_outer, prev_error, std::move(result));
   }
-  return result;
+  AOADMM_PROFILE_SCOPE("cpd/loss");
+  LossStep step(*this);
+  // prev_error tracked relative error; the objective gets a fresh baseline
+  // on every entry.
+  return loop.run(step, start_outer, std::numeric_limits<double>::infinity(),
+                  std::move(result));
 }
 
 }  // namespace aoadmm

@@ -23,8 +23,8 @@
 // the convergence trace from a checkpoint file and continues the run
 // bitwise-identically (same variant/thread configuration assumed).
 //
-// The free functions cpd_aoadmm()/cpd_als() remain as thin shims over a
-// throwaway session.
+// The free function cpd_aoadmm() remains as a thin shim over a throwaway
+// session; cpd_als() runs the same outer loop with a least-squares step.
 #pragma once
 
 #include <memory>
@@ -35,8 +35,8 @@
 #include "core/config.hpp"
 #include "core/cpd.hpp"
 #include "core/loss_solve.hpp"
+#include "core/outer_loop.hpp"
 #include "core/workspace.hpp"
-#include "util/rng.hpp"
 
 namespace aoadmm {
 
@@ -73,18 +73,13 @@ class CpdSolver {
   CpdResult resume(const std::string& checkpoint_path);
 
  private:
-  /// The AO-ADMM outer loop (Algorithm 2), shared by all three entry
-  /// points. `result` arrives pre-seeded with carried-over counters and
-  /// trace; factors_/duals_ hold the starting iterate. Dispatches to
-  /// run_loss() when the configured loss is not the quadratic fast path.
+  class LossStep;
+
+  /// Run the shared outer loop (core/outer_loop.hpp) from the iterate in
+  /// factors_/duals_, with the quadratic step or, for any other loss, the
+  /// per-row loss step. `result` arrives pre-seeded with carried-over
+  /// counters and trace.
   CpdResult run(unsigned start_outer, real_t prev_error, CpdResult result);
-
-  /// Generalized outer loop for non-quadratic / masked losses: per-row
-  /// two-split ADMM (core/loss_solve.hpp) instead of MTTKRP + normal
-  /// equations, converging on the loss objective.
-  CpdResult run_loss(unsigned start_outer, CpdResult result);
-
-  void zero_duals();
 
   const CsfSet& csf_;
   CpdConfig config_;
@@ -94,13 +89,7 @@ class CpdSolver {
   // Hoisted per-session state, allocated on first use and reused forever.
   std::unique_ptr<Loss> loss_;
   LossWorkspace loss_ws_;
-  std::vector<std::unique_ptr<ProxOperator>> prox_;
-  std::vector<Matrix> factors_;
-  std::vector<Matrix> duals_;
-  CpdWorkspace ws_;
-  SparseFactorCache sparse_cache_;
-  Rng rng_;
-  std::vector<double> mode_mttkrp_seconds_;
+  detail::SolverState state_;  // factors, duals, prox, workspaces
   /// Concrete kernel after kAuto resolution (resolve_auto_kernel), fixed at
   /// construction for the session's lifetime.
   MttkrpKernel resolved_kernel_ = MttkrpKernel::kAuto;

@@ -6,15 +6,10 @@
 #include <utility>
 
 #include "core/cpd_impl.hpp"
-#include "core/mode_update.hpp"
+#include "core/outer_loop.hpp"
 #include "mttkrp/mttkrp.hpp"
 #include "obs/metrics.hpp"
-#include "obs/snapshot.hpp"
-#include "obs/telemetry/event_journal.hpp"
-#include "obs/telemetry/trace_context.hpp"
-#include "sparse/density.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 #include "util/overflow.hpp"
 #include "util/timer.hpp"
 
@@ -23,39 +18,26 @@ namespace aoadmm {
 namespace {
 
 struct DistMetrics {
-  obs::Counter runs;
-  obs::Counter outer_iterations;
-  obs::Counter mttkrp_calls;
-  obs::Counter checkpoints_written;
-  obs::Counter robust_mttkrp_retries;
-  obs::Counter robust_checkpoint_write_failures;
+  detail::LoopMetrics loop;
   obs::Gauge exchange_bytes;
   obs::Gauge exchange_messages;
   obs::Gauge shard_imbalance;
   obs::Gauge tile_loads;
   obs::Gauge tile_evictions;
   obs::Gauge tile_resident_bytes;
-  obs::Histogram iteration_seconds;
   obs::Histogram shard_busy_seconds;
 
   static const DistMetrics& get() {
     static const DistMetrics m = [] {
       auto& reg = obs::MetricsRegistry::global();
       DistMetrics out;
-      out.runs = reg.counter("dist/runs");
-      out.outer_iterations = reg.counter("dist/outer_iterations");
-      out.mttkrp_calls = reg.counter("dist/mttkrp_calls");
-      out.checkpoints_written = reg.counter("cpd/checkpoints_written");
-      out.robust_mttkrp_retries = reg.counter("robust/mttkrp_retries");
-      out.robust_checkpoint_write_failures =
-          reg.counter("robust/checkpoint_write_failures");
+      out.loop = detail::LoopMetrics::family("dist");
       out.exchange_bytes = reg.gauge("dist/exchange_bytes");
       out.exchange_messages = reg.gauge("dist/exchange_messages");
       out.shard_imbalance = reg.gauge("dist/shard_imbalance");
       out.tile_loads = reg.gauge("dist/tile_loads");
       out.tile_evictions = reg.gauge("dist/tile_evictions");
       out.tile_resident_bytes = reg.gauge("dist/tile_resident_bytes");
-      out.iteration_seconds = reg.histogram("dist/iteration_seconds");
       out.shard_busy_seconds = reg.histogram("dist/shard_busy_seconds");
       return out;
     }();
@@ -88,8 +70,7 @@ struct ShardedCpdSolver::Worker {
 };
 
 ShardedCpdSolver::ShardedCpdSolver(const CooTensor& coo, CpdConfig config)
-    : config_(std::move(config)), ws_(coo.order()), rng_(config_.seed),
-      mode_mttkrp_seconds_(coo.order(), 0) {
+    : config_(std::move(config)), state_(coo.order()) {
   const std::size_t order = coo.order();
   AOADMM_CHECK(order >= 2);
 
@@ -118,10 +99,8 @@ ShardedCpdSolver::ShardedCpdSolver(const CooTensor& coo, CpdConfig config)
     x_norm_sq_ += v * v;
   }
 
-  prox_.resize(order);
-  for (std::size_t m = 0; m < order; ++m) {
-    prox_[m] = make_prox(config_.constraints.for_mode(m));
-  }
+  state_.build_prox(config_.constraints);
+  state_.rng = Rng(config_.seed);
 
   const bool out_of_core = config_.shards.out_of_core();
   if (out_of_core) {
@@ -246,7 +225,7 @@ void ShardedCpdSolver::worker_main(std::size_t shard) {
 }
 
 void ShardedCpdSolver::broadcast_mode(std::size_t mode, std::uint64_t epoch) {
-  const Matrix& f = factors_[mode];
+  const Matrix& f = state_.factors[mode];
   for (std::size_t s = 0; s < plan_.shard_count(); ++s) {
     const Shard& shard = plan_.shards[s];
     Message m;
@@ -290,7 +269,7 @@ void ShardedCpdSolver::sweep_mode(std::size_t mode, std::uint64_t epoch,
     partials[from] = std::move(p);
   }
 
-  Matrix& k = ws_.mttkrp_out;
+  Matrix& k = state_.ws.mttkrp_out;
   const std::size_t rows = plan_.dims[mode];
   const std::size_t cols = config_.rank;
   if (k.rows() != rows || k.cols() != cols) {
@@ -327,271 +306,107 @@ void ShardedCpdSolver::sweep_mode(std::size_t mode, std::uint64_t epoch,
 }
 
 CpdResult ShardedCpdSolver::solve() {
-  rng_ = Rng(config_.seed);
-  detail::init_factors_into(plan_.dims, config_.rank, rng_, x_norm_sq_,
-                            factors_);
-  duals_.resize(plan_.order());
-  for (std::size_t m = 0; m < plan_.order(); ++m) {
-    duals_[m].resize(plan_.dims[m], config_.rank);
-  }
+  state_.rng = Rng(config_.seed);
+  detail::init_factors_into(plan_.dims, config_.rank, state_.rng, x_norm_sq_,
+                            state_.factors);
+  state_.zero_duals(plan_.dims, config_.rank);
   return run(1, std::numeric_limits<real_t>::infinity(), CpdResult{});
 }
 
 CpdResult ShardedCpdSolver::resume(const std::string& checkpoint_path) {
   CpdCheckpoint ck = read_checkpoint_file(checkpoint_path);
-  if (ck.dims != plan_.dims) {
-    throw InvalidArgument("resume: checkpoint tensor shape does not match "
-                          "this session's tensor");
-  }
-  if (ck.rank != config_.rank) {
-    throw InvalidArgument("resume: checkpoint rank " +
-                          std::to_string(ck.rank) +
-                          " does not match configured rank " +
-                          std::to_string(config_.rank));
-  }
-  factors_ = std::move(ck.factors);
-  duals_ = std::move(ck.duals);
-  rng_.set_state(ck.rng_state);
-
-  CpdResult result;
-  result.total_inner_iterations = ck.total_inner_iterations;
-  result.total_row_iterations = ck.total_row_iterations;
-  result.mttkrp_count = ck.mttkrp_count;
-  result.sparse_mttkrp_count = ck.sparse_mttkrp_count;
-  result.trace = std::move(ck.trace);
-  result.relative_error = ck.prev_error;
-  result.outer_iterations = ck.outer_iteration;
+  CpdResult result = detail::resume_into(ck, plan_.dims, config_.rank, state_);
   return run(ck.outer_iteration + 1, ck.prev_error, std::move(result));
 }
 
-CpdResult ShardedCpdSolver::run(unsigned start_outer, real_t prev_error,
-                                CpdResult result) {
-  const std::size_t order = plan_.order();
-  const CpdConfig& opts = config_;
-  const RobustnessOptions& rb = opts.admm.robustness;
-  const DistMetrics& metrics = DistMetrics::get();
-  metrics.runs.add(1);
+/// The sharded step: K is the shard-order reduction of every worker's
+/// partial, the update is the unsharded solver's admm_mode_update, and each
+/// updated factor is broadcast back to the shards that read it.
+class ShardedCpdSolver::Step final : public detail::QuadraticStep {
+ public:
+  explicit Step(ShardedCpdSolver& s)
+      : QuadraticStep(s.config_, s.x_norm_sq_, s.state_), s_(s) {}
 
-  Timer wall;
-  wall.start();
-  Timer admm_timer;
-  double mttkrp_seconds = 0;
-
-  {
-    for (std::size_t m = 0; m < order; ++m) {
-      gram(factors_[m], ws_.grams[m]);
+  void begin_run() override {
+    QuadraticStep::begin_run();
+    // Seed every worker's local factor mirrors with the starting iterate.
+    for (std::size_t m = 0; m < state_.factors.size(); ++m) {
+      s_.broadcast_mode(m, 0);
     }
   }
-  // Seed every worker's local factor mirrors with the starting iterate.
-  for (std::size_t m = 0; m < order; ++m) {
-    broadcast_mode(m, 0);
+
+  void begin_iteration() override {
+    exchange_before_ = s_.exchange_->stats();
+    iter_max_busy_ = 0;
+    iter_sum_busy_ = 0;
   }
 
-  const ExchangeStats exchange_start = exchange_->stats();
-  std::uint64_t epoch = 0;
-
-  for (unsigned outer = start_outer; outer <= opts.max_outer_iterations;
-       ++outer) {
-    if (opts.cancel && opts.cancel->should_stop()) {
-      result.stop_reason = opts.cancel->cancelled() ? StopReason::kCancelled
-                                                    : StopReason::kDeadline;
-      AOADMM_LOG_WARN << "outer " << outer << ": stopping ("
-                      << to_string(result.stop_reason) << ")";
-      break;
+  detail::ModeSystem produce_k(unsigned outer, std::size_t m,
+                               bool retry) override {
+    (void)outer;
+    if (!retry) {
+      gram_product(m);
     }
-    const double iter_start_seconds = wall.seconds();
-    const double admm_seconds_before = admm_timer.seconds();
-    const ExchangeStats exchange_before = exchange_->stats();
-    std::fill(mode_mttkrp_seconds_.begin(), mode_mttkrp_seconds_.end(), 0.0);
-    std::uint64_t iter_inner_iterations = 0;
-    real_t worst_primal = 0;
-    real_t worst_dual = 0;
-    real_t sum_primal = 0;
-    real_t sum_dual = 0;
-    double iter_max_busy = 0;
-    double iter_sum_busy = 0;
+    double max_busy = 0;
+    double sum_busy = 0;
+    s_.sweep_mode(m, ++epoch_, max_busy, sum_busy);
+    iter_max_busy_ += max_busy;
+    iter_sum_busy_ += sum_busy;
+    // The sweep's critical path is the slowest shard of each step.
+    return {&state_.ws.mttkrp_out, max_busy, false};
+  }
 
-    for (std::size_t m = 0; m < order; ++m) {
-      detail::gram_product_excluding(ws_.grams, m, ws_.gram_prod);
+  void finish_mode(std::size_t m) override {
+    QuadraticStep::finish_mode(m);
+    s_.broadcast_mode(m, epoch_);
+  }
 
-      ++result.mttkrp_count;
-      metrics.mttkrp_calls.add(1);
-      double max_busy = 0;
-      double sum_busy = 0;
-      sweep_mode(m, ++epoch, max_busy, sum_busy);
-      if (rb.enabled && rb.check_finite && !all_finite(ws_.mttkrp_out)) {
-        unsigned attempts = 0;
-        while (attempts < rb.max_recoveries &&
-               !all_finite(ws_.mttkrp_out)) {
-          ++attempts;
-          double rb_max = 0;
-          double rb_sum = 0;
-          sweep_mode(m, ++epoch, rb_max, rb_sum);
-          max_busy += rb_max;
-          sum_busy += rb_sum;
-        }
-        result.recovery.add({RecoveryKind::kMttkrpRetry, outer, m, attempts,
-                             0, std::string(), {}});
-        metrics.robust_mttkrp_retries.add(1);
-        AOADMM_LOG_WARN << "outer " << outer << " mode " << m
-                        << ": non-finite sharded MTTKRP, recomputed ("
-                        << attempts << " retries)";
-        if (!all_finite(ws_.mttkrp_out)) {
-          throw NumericalError(
-              "sharded MTTKRP for mode " + std::to_string(m) +
-              " is non-finite even after " + std::to_string(attempts) +
-              " recomputes");
-        }
-      }
-      // The sweep's critical path is the slowest shard of each step.
-      mode_mttkrp_seconds_[m] = max_busy;
-      mttkrp_seconds += max_busy;
-      iter_max_busy += max_busy;
-      iter_sum_busy += sum_busy;
-
-      {
-        admm_timer.start();
-        const detail::ModeUpdateStats ms = detail::admm_mode_update(
-            opts.variant, factors_[m], duals_[m], ws_.mttkrp_out,
-            ws_.gram_prod, *prox_[m], opts.admm, ws_.admm, outer, m, result);
-        admm_timer.stop();
-        iter_inner_iterations += ms.inner_iterations;
-        worst_primal = std::max(worst_primal, ms.primal_residual);
-        worst_dual = std::max(worst_dual, ms.dual_residual);
-        sum_primal += ms.primal_residual;
-        sum_dual += ms.dual_residual;
-      }
-
-      gram(factors_[m], ws_.grams[m]);
-      broadcast_mode(m, epoch);
-    }
-
-    const real_t err = detail::fit_relative_error(
-        x_norm_sq_, ws_.mttkrp_out, factors_[order - 1], ws_.grams,
-        ws_.fit_acc);
-    result.relative_error = err;
-    result.outer_iterations = outer;
-    if (opts.record_trace) {
-      result.trace.add(outer, wall.seconds(), err);
-    }
-    AOADMM_LOG_DEBUG << "outer " << outer << " relative_error " << err;
-
-    const double iter_seconds = wall.seconds() - iter_start_seconds;
-    metrics.outer_iterations.add(1);
-    metrics.iteration_seconds.observe(iter_seconds);
-
+  detail::LoopFit fit(unsigned outer, CpdResult& result) override {
+    const detail::LoopFit fit = QuadraticStep::fit(outer, result);
     // Shard imbalance over this iteration: 1 - mean/max of per-step worker
     // busy time, 0 = perfectly balanced (same shape as thread_imbalance).
+    const auto order = static_cast<double>(state_.factors.size());
     const double mean_busy =
-        iter_sum_busy / static_cast<double>(plan_.shard_count() * order);
-    const double shard_imbalance =
-        iter_max_busy > 0
-            ? 1.0 - mean_busy / (iter_max_busy / static_cast<double>(order))
-            : 0.0;
-    const ExchangeStats exchange_now = exchange_->stats();
-    metrics.shard_imbalance.set(shard_imbalance);
-    metrics.exchange_bytes.set(static_cast<double>(exchange_now.bytes));
-    metrics.exchange_messages.set(static_cast<double>(exchange_now.messages));
-    if (residency_) {
-      const TileResidency::Stats rs = residency_->stats();
+        iter_sum_busy_ /
+        (static_cast<double>(s_.plan_.shard_count()) * order);
+    shard_imbalance_ = iter_max_busy_ > 0
+                           ? 1.0 - mean_busy / (iter_max_busy_ / order)
+                           : 0.0;
+    exchange_now_ = s_.exchange_->stats();
+    const DistMetrics& metrics = DistMetrics::get();
+    metrics.shard_imbalance.set(shard_imbalance_);
+    metrics.exchange_bytes.set(static_cast<double>(exchange_now_.bytes));
+    metrics.exchange_messages.set(
+        static_cast<double>(exchange_now_.messages));
+    if (s_.residency_) {
+      const TileResidency::Stats rs = s_.residency_->stats();
       metrics.tile_loads.set(static_cast<double>(rs.loads));
       metrics.tile_evictions.set(static_cast<double>(rs.evictions));
       metrics.tile_resident_bytes.set(static_cast<double>(rs.resident_bytes));
     }
-
-    if (opts.on_iteration) {
-      obs::MetricsSnapshot snap;
-      snap.outer_iteration = outer;
-      snap.seconds = wall.seconds();
-      snap.iteration_seconds = iter_seconds;
-      snap.relative_error = err;
-      snap.mode_mttkrp_seconds = mode_mttkrp_seconds_;
-      snap.admm_seconds = admm_timer.seconds() - admm_seconds_before;
-      snap.admm_inner_iterations = iter_inner_iterations;
-      snap.worst_primal_residual = worst_primal;
-      snap.mean_primal_residual = sum_primal / static_cast<real_t>(order);
-      snap.worst_dual_residual = worst_dual;
-      snap.mean_dual_residual = sum_dual / static_cast<real_t>(order);
-      snap.shard_imbalance = shard_imbalance;
-      snap.exchange_bytes = exchange_now.bytes - exchange_before.bytes;
-      snap.factor_density.reserve(order);
-      for (std::size_t m = 0; m < order; ++m) {
-        snap.factor_density.push_back(measure_density(factors_[m]).density);
-      }
-      snap.mttkrp_count = result.mttkrp_count;
-      opts.on_iteration(snap);
-    }
-
-    const bool converged_now = prev_error - err < opts.tolerance && outer > 1;
-    prev_error = err;
-
-    if (!converged_now && config_.checkpoint_every > 0 &&
-        outer % config_.checkpoint_every == 0) {
-      CpdCheckpoint ck;
-      ck.dims = plan_.dims;
-      ck.rank = opts.rank;
-      ck.seed = opts.seed;
-      ck.rng_state = rng_.state();
-      ck.outer_iteration = outer;
-      ck.prev_error = prev_error;
-      ck.total_inner_iterations = result.total_inner_iterations;
-      ck.total_row_iterations = result.total_row_iterations;
-      ck.mttkrp_count = result.mttkrp_count;
-      ck.sparse_mttkrp_count = result.sparse_mttkrp_count;
-      ck.factors = factors_;
-      ck.duals = duals_;
-      ck.trace = result.trace;
-      try {
-        write_checkpoint_file(ck, config_.checkpoint_path);
-        metrics.checkpoints_written.add(1);
-        obs::journal_event(
-            obs::EventKind::kCheckpointWritten, obs::current_trace(),
-            obs::EventJournal::Fields{}
-                .num("outer_iteration", static_cast<std::uint64_t>(outer))
-                .str("path", config_.checkpoint_path));
-      } catch (const CheckpointError& e) {
-        if (!rb.enabled) {
-          throw;
-        }
-        result.recovery.add({RecoveryKind::kCheckpointWriteFailure, outer, 0,
-                             0, 0, e.what(), {}});
-        metrics.robust_checkpoint_write_failures.add(1);
-        AOADMM_LOG_WARN << "outer " << outer
-                        << ": checkpoint write failed (continuing): "
-                        << e.what();
-      }
-    }
-
-    if (converged_now) {
-      result.converged = true;
-      result.stop_reason = StopReason::kConverged;
-      break;
-    }
+    return fit;
   }
 
-  wall.stop();
-  result.times.total_seconds = wall.seconds();
-  result.times.mttkrp_seconds = mttkrp_seconds;
-  result.times.admm_seconds = admm_timer.seconds();
-  result.times.other_seconds = result.times.total_seconds -
-                               result.times.mttkrp_seconds -
-                               result.times.admm_seconds;
-
-  const ExchangeStats exchange_end = exchange_->stats();
-  AOADMM_LOG_DEBUG << "sharded run exchanged "
-                   << (exchange_end.bytes - exchange_start.bytes)
-                   << " bytes in "
-                   << (exchange_end.messages - exchange_start.messages)
-                   << " messages across " << plan_.shard_count()
-                   << " shards";
-
-  result.factors = factors_;
-  result.factor_density.clear();
-  result.factor_density.reserve(order);
-  for (std::size_t m = 0; m < order; ++m) {
-    result.factor_density.push_back(measure_density(factors_[m]).density);
+  void fill_snapshot(obs::MetricsSnapshot& snap) const override {
+    snap.shard_imbalance = shard_imbalance_;
+    snap.exchange_bytes = exchange_now_.bytes - exchange_before_.bytes;
   }
-  return result;
+
+ private:
+  ShardedCpdSolver& s_;
+  std::uint64_t epoch_ = 0;
+  ExchangeStats exchange_before_;
+  ExchangeStats exchange_now_;
+  double iter_max_busy_ = 0;
+  double iter_sum_busy_ = 0;
+  double shard_imbalance_ = 0;
+};
+
+CpdResult ShardedCpdSolver::run(unsigned start_outer, real_t prev_error,
+                                CpdResult result) {
+  Step step(*this);
+  return detail::OuterLoop(config_, DistMetrics::get().loop)
+      .run(step, start_outer, prev_error, std::move(result));
 }
 
 }  // namespace aoadmm

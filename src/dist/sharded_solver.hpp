@@ -31,12 +31,10 @@
 #include "core/checkpoint.hpp"
 #include "core/config.hpp"
 #include "core/cpd.hpp"
-#include "core/prox.hpp"
-#include "core/workspace.hpp"
+#include "core/outer_loop.hpp"
 #include "dist/exchange.hpp"
 #include "dist/shard_plan.hpp"
 #include "dist/tile_store.hpp"
-#include "util/rng.hpp"
 
 namespace aoadmm {
 
@@ -70,11 +68,13 @@ class ShardedCpdSolver {
 
  private:
   struct Worker;
+  class Step;
 
+  /// Run the shared outer loop (core/outer_loop.hpp) with the sharded step.
   CpdResult run(unsigned start_outer, real_t prev_error, CpdResult result);
   void broadcast_mode(std::size_t mode, std::uint64_t epoch);
   /// Issue kTask to every worker for `mode` and reduce their partials in
-  /// shard-id order into ws_.mttkrp_out. Returns the worst worker busy
+  /// shard-id order into state_.ws.mttkrp_out. Returns the worst worker busy
   /// time minus the mean (imbalance inputs).
   void sweep_mode(std::size_t mode, std::uint64_t epoch, double& max_busy,
                   double& sum_busy);
@@ -95,12 +95,7 @@ class ShardedCpdSolver {
   std::vector<std::thread> threads_;
   bool workers_stopped_ = false;
 
-  std::vector<std::unique_ptr<ProxOperator>> prox_;
-  std::vector<Matrix> factors_;
-  std::vector<Matrix> duals_;
-  CpdWorkspace ws_;
-  Rng rng_;
-  std::vector<double> mode_mttkrp_seconds_;
+  detail::SolverState state_;  // factors, duals, prox, workspaces
 };
 
 }  // namespace aoadmm

@@ -52,20 +52,20 @@ void parallel_for(std::size_t begin, std::size_t end,
 double parallel_reduce_sum(std::size_t begin, std::size_t end,
                            const std::function<double(std::size_t)>& body);
 
-/// Inside a parallel region: run `merge()` on every thread of the team, one
-/// thread at a time in thread-id order. Use it to fold per-thread partial
-/// sums into a shared total — a critical section or reduction clause merges
-/// in arrival order, which makes floating-point results vary from run to
-/// run at three or more threads. Every thread of the team must reach it;
-/// it ends with the worksharing loop's implicit barrier. Outside OpenMP it
-/// simply calls `merge()`.
+/// At the end of a parallel region: run `merge()` on every thread of the
+/// team, one thread at a time in thread-id order. Use it to fold per-thread
+/// partial sums into a shared total — a critical section or reduction
+/// clause merges in arrival order, which makes floating-point results vary
+/// from run to run at three or more threads. Every thread of the team must
+/// reach it. It adds no barrier: the region's closing barrier publishes the
+/// total. Outside OpenMP it simply calls `merge()`.
 template <typename Merge>
 inline void merge_in_thread_order(const Merge& merge) {
 #if defined(AOADMM_HAVE_OPENMP)
   const int team = team_size();
   // schedule(static, 1) with one iteration per thread hands iteration t to
   // thread t; `ordered` runs the bodies in iteration order.
-#pragma omp for ordered schedule(static, 1)
+#pragma omp for ordered schedule(static, 1) nowait
   for (int t = 0; t < team; ++t) {
 #pragma omp ordered
     merge();
