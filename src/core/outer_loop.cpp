@@ -62,8 +62,9 @@ CpdResult OuterLoop::run(OuterLoopStep& step, unsigned start_outer,
     // Cooperative stop: one check per outer iteration, before any work, so
     // the factors are always the last completed iterate.
     if (config_.cancel && config_.cancel->should_stop()) {
-      result.stop_reason = config_.cancel->cancelled() ? StopReason::kCancelled
-                                                   : StopReason::kDeadline;
+      result.stop_reason = config_.cancel->cancelled()
+                               ? StopReason::kCancelled
+                               : StopReason::kDeadline;
       AOADMM_LOG_WARN << "outer " << outer << ": stopping ("
                       << to_string(result.stop_reason) << ")";
       break;
@@ -151,8 +152,7 @@ CpdResult OuterLoop::run(OuterLoopStep& step, unsigned start_outer,
       snap.iteration_seconds = iter_seconds;
       snap.relative_error = fit.error;
       snap.mode_mttkrp_seconds = mode_mttkrp_seconds;
-      snap.admm_seconds =
-          admm.seconds() - moved_seconds - admm_seconds_before;
+      snap.admm_seconds = admm.seconds() - moved_seconds - admm_seconds_before;
       snap.admm_inner_iterations = iter_inner_iterations;
       snap.worst_primal_residual = worst_primal;
       snap.mean_primal_residual = sum_primal / static_cast<real_t>(order);

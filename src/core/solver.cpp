@@ -54,7 +54,6 @@ CpdSolver::CpdSolver(const CsfSet& csf, CpdConfig config)
     throw InvalidArgument("invalid CpdConfig:\n" + validation_.to_string());
   }
   state_.rng = Rng(config_.seed);
-
   state_.build_prox(config_.constraints);
 
   loss_ = make_loss(config_.loss);
