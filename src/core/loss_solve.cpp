@@ -33,7 +33,7 @@ struct RowScratch {
 /// One DFS over root `r`'s subtree: collect the Khatri-Rao row w_j, the
 /// datum x_j, and the leaf node id for every observed entry, and build
 /// G = Σ w wᵀ (upper triangle) plus the column sums Σ_j w_j needed by the
-/// zero-fill term. Identical path-product structure to core/wcpd.cpp.
+/// zero-fill term.
 void assemble_row(const CsfTensor& tree, cspan<const Matrix> factors,
                   std::size_t r, cspan<const real_t> zero_fill_s,
                   RowScratch& s) {

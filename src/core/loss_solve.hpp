@@ -21,7 +21,7 @@
 // The split state (t, u_t) lives per non-zero of each mode's tree and
 // warm-starts across outer iterations. Requires an untiled
 // CsfStrategy::kAllMode compilation (per-row systems are assembled from
-// mode-rooted subtrees, like core/wcpd.cpp).
+// mode-rooted subtrees).
 #pragma once
 
 #include <cstdint>
