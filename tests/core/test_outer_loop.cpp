@@ -229,7 +229,7 @@ TEST_P(OuterLoopContract, CheckpointWritesAreJournaledAndFailuresCounted) {
   std::remove(events.c_str());
 }
 
-INSTANTIATE_TEST_SUITE_P(Drivers, OuterLoopContract,
+INSTANTIATE_TEST_SUITE_P(All, OuterLoopContract,
                          ::testing::Values(Driver::kQuadratic, Driver::kLoss,
                                            Driver::kSharded, Driver::kAls,
                                            Driver::kCoupled),
