@@ -403,7 +403,13 @@ void BM_Cholesky(benchmark::State& state) {
 }
 BENCHMARK(BM_Cholesky)->Arg(16)->Arg(64)->Arg(200);
 
-void BM_CholeskySolveRows(benchmark::State& state) {
+/// The rank-16, 20,000-row system both solve-rows benchmarks run.
+struct SolveRowsSystem {
+  Cholesky chol;
+  Matrix rhs;
+};
+
+SolveRowsSystem solve_rows_system() {
   const std::size_t f = 16;
   const std::size_t rows = 20000;
   Rng rng(6);
@@ -413,16 +419,36 @@ void BM_CholeskySolveRows(benchmark::State& state) {
   for (std::size_t i = 0; i < f; ++i) {
     g(i, i) += 1.0;
   }
-  const Cholesky chol(g);
-  Matrix rhs = Matrix::random_normal(rows, f, rng);
+  return {Cholesky(g), Matrix::random_normal(rows, f, rng)};
+}
+
+void BM_CholeskySolveRows(benchmark::State& state) {
+  SolveRowsSystem s = solve_rows_system();
   for (auto _ : state) {
-    chol.solve_rows_inplace(rhs);
-    benchmark::DoNotOptimize(rhs.data());
+    s.chol.solve_rows_inplace(s.rhs);
+    benchmark::DoNotOptimize(s.rhs.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(rows));
+                          static_cast<std::int64_t>(s.rhs.rows()));
 }
 BENCHMARK(BM_CholeskySolveRows);
+
+// The same system solved one row at a time: CI gates the ratio of the two
+// so the grouped substitution's gain cannot erode unseen.
+void BM_CholeskySolveRowsOneAtATime(benchmark::State& state) {
+  SolveRowsSystem s = solve_rows_system();
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < s.rhs.rows(); ++i) {
+      s.chol.solve_inplace(s.rhs.row(i));
+    }
+    benchmark::DoNotOptimize(s.rhs.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(s.rhs.rows()));
+}
+BENCHMARK(BM_CholeskySolveRowsOneAtATime);
 
 void BM_Gram(benchmark::State& state) {
   const auto rows = static_cast<std::size_t>(state.range(0));

@@ -144,7 +144,7 @@ inline void rescale_duals(Matrix& u, real_t scale) noexcept {
 /// (Algorithm 1, line 6). Serial over the range; callers parallelize.
 inline void admm_solve_rows(const Matrix& h, const Matrix& u, const Matrix& k,
                             real_t rho, const Cholesky& chol, Matrix& aux,
-                            std::size_t lo, std::size_t hi) noexcept {
+                            std::size_t lo, std::size_t hi) {
   const std::size_t f = h.cols();
   for (std::size_t i = lo; i < hi; ++i) {
     const real_t* __restrict hr = h.data() + i * f;
@@ -154,8 +154,8 @@ inline void admm_solve_rows(const Matrix& h, const Matrix& u, const Matrix& k,
     for (std::size_t c = 0; c < f; ++c) {
       ar[c] = kr[c] + rho * (hr[c] + ur[c]);
     }
-    chol.solve_inplace({ar, f});
   }
+  chol.solve_rows_inplace(aux, lo, hi);
 }
 
 /// Primal candidate for rows [lo, hi): h_old ← H; H ← Ĥ − U where

@@ -57,17 +57,23 @@ class Cholesky {
   std::size_t dim() const noexcept { return l_.rows(); }
   const Matrix& lower() const noexcept { return l_; }
 
-  /// Solve A x = b in place (b becomes x). Thread-safe (const).
+  /// Solve A x = b in place (b becomes x). Requires b.size() == dim();
+  /// unchecked. Thread-safe (const).
   void solve_inplace(span<real_t> b) const noexcept;
 
-  /// Solve A Xᵀ = Bᵀ row-by-row in place: each row of `b` is treated as an
-  /// independent right-hand side. Serial; callers parallelize over rows or
-  /// blocks of rows themselves.
-  void solve_rows_inplace(Matrix& b) const noexcept;
+  /// Solve A Xᵀ = Bᵀ in place: each row of `b` is an independent
+  /// right-hand side. Rows are substituted eight at a time so their
+  /// dependency chains overlap; each row still runs exactly the operations
+  /// of solve_inplace in the same order, so the result is bitwise equal to
+  /// solving row by row. Serial; callers parallelize over row ranges.
+  /// Throws InvalidArgument unless b.cols() == dim().
+  void solve_rows_inplace(Matrix& b) const;
 
-  /// Solve for the subset of rows [row_begin, row_end).
+  /// Solve for the subset of rows [row_begin, row_end). Throws
+  /// InvalidArgument unless b.cols() == dim() and
+  /// row_begin <= row_end <= b.rows().
   void solve_rows_inplace(Matrix& b, std::size_t row_begin,
-                          std::size_t row_end) const noexcept;
+                          std::size_t row_end) const;
 
  private:
   /// One factorization attempt with `jitter` added to every diagonal entry.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -23,6 +24,11 @@ Matrix random_spd(std::size_t n, std::uint64_t seed) {
     g(i, i) += static_cast<real_t>(n);
   }
   return g;
+}
+
+bool bitwise_equal(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(real_t)) == 0;
 }
 
 TEST(CholeskyTest, ReconstructsLLt) {
@@ -66,35 +72,48 @@ TEST(CholeskyTest, SolveRecoversKnownSolution) {
 }
 
 TEST(CholeskyTest, SolveRowsMatchesPerRowSolve) {
-  const std::size_t n = 5;
-  const Matrix spd = random_spd(n, 5);
-  Rng rng(6);
-  Matrix rhs = Matrix::random_normal(20, n, rng);
-  Matrix rhs2 = rhs;
-
-  const Cholesky chol(spd);
-  chol.solve_rows_inplace(rhs);
-  for (std::size_t i = 0; i < rhs2.rows(); ++i) {
-    chol.solve_inplace(rhs2.row(i));
+  // Ranks below, at and above one group width, row counts that leave no
+  // group, exactly one, one plus a remainder, and a blocked-ADMM block.
+  for (const std::size_t n : {1, 2, 5, 8, 16, 33, 64, 200}) {
+    const Cholesky chol(random_spd(n, 5 + n));
+    for (const std::size_t rows : {1, 7, 8, 9, 50, 67}) {
+      Rng rng(6 + rows);
+      Matrix rhs = Matrix::random_normal(rows, n, rng);
+      Matrix per_row = rhs;
+      chol.solve_rows_inplace(rhs);
+      for (std::size_t i = 0; i < per_row.rows(); ++i) {
+        chol.solve_inplace(per_row.row(i));
+      }
+      EXPECT_TRUE(bitwise_equal(rhs, per_row)) << "n=" << n
+                                               << " rows=" << rows;
+    }
   }
-  EXPECT_LT(max_abs_diff(rhs, rhs2), 1e-14);
 }
 
 TEST(CholeskyTest, PartialRowRangeOnlyTouchesRange) {
+  // [3, 22) starts a group on an unaligned row and ends in a remainder.
   const Matrix spd = random_spd(4, 7);
   Rng rng(8);
-  Matrix rhs = Matrix::random_normal(10, 4, rng);
-  const Matrix before = rhs;
+  Matrix rhs = Matrix::random_normal(30, 4, rng);
+  Matrix expect = rhs;
   const Cholesky chol(spd);
-  chol.solve_rows_inplace(rhs, 3, 6);
-  for (std::size_t i = 0; i < 10; ++i) {
-    const bool in_range = i >= 3 && i < 6;
-    for (std::size_t j = 0; j < 4; ++j) {
-      if (!in_range) {
-        EXPECT_DOUBLE_EQ(rhs(i, j), before(i, j));
-      }
-    }
+  chol.solve_rows_inplace(rhs, 3, 22);
+  // Rows in the range solved one by one; the rest untouched.
+  for (std::size_t i = 3; i < 22; ++i) {
+    chol.solve_inplace(expect.row(i));
   }
+  EXPECT_TRUE(bitwise_equal(rhs, expect));
+}
+
+TEST(CholeskyTest, SolveRowsRejectsMismatchedRightHandSide) {
+  const Cholesky chol(random_spd(4, 12));
+  Matrix narrow(10, 3);
+  EXPECT_THROW(chol.solve_rows_inplace(narrow), InvalidArgument);
+  EXPECT_THROW(chol.solve_rows_inplace(narrow, 0, 1), InvalidArgument);
+  Matrix rhs(10, 4);
+  EXPECT_THROW(chol.solve_rows_inplace(rhs, 0, 11), InvalidArgument);
+  EXPECT_THROW(chol.solve_rows_inplace(rhs, 6, 5), InvalidArgument);
+  EXPECT_NO_THROW(chol.solve_rows_inplace(rhs, 10, 10));
 }
 
 TEST(CholeskyTest, IdentitySolveIsNoop) {
@@ -129,8 +148,14 @@ TEST(SolveNormalEquations, SolvesAllRows) {
   const Matrix x_true = Matrix::random_normal(30, f, rng);
   // rhs = X * G (row i: G xᵢ since G symmetric)
   Matrix rhs = matmul(x_true, g);
+  Matrix per_row = rhs;
   solve_normal_equations(g, rhs);
   EXPECT_LT(max_abs_diff(rhs, x_true), 1e-8);
+  const Cholesky chol(g);
+  for (std::size_t i = 0; i < per_row.rows(); ++i) {
+    chol.solve_inplace(per_row.row(i));
+  }
+  EXPECT_TRUE(bitwise_equal(rhs, per_row));
 }
 
 TEST(GuardedCholesky, CleanMatrixNeedsNoJitter) {
