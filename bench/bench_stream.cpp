@@ -1,5 +1,6 @@
 // Streaming-subsystem benchmarks on google-benchmark: ingest throughput
-// (batch apply into a StreamingTensor), the two CSF refresh paths (full
+// (batch apply into a StreamingTensor), windowed ingest with compaction
+// against the CSF rebuild it feeds, the two CSF refresh paths (full
 // rebuild vs value-only leaf patch), and serve-side query latency — alone
 // and with a publisher thread swapping snapshots underneath the reader.
 //
@@ -63,7 +64,7 @@ KruskalTensor serving_model(rank_t rank) {
 }
 
 /// Ingest: replay every batch into a fresh StreamingTensor (append +
-/// overwrite + coordinate-map maintenance, no solve).
+/// overwrite + coordinate-index maintenance, no window, no solve).
 void BM_StreamIngest(benchmark::State& state) {
   const auto& batches = stream_batches();
   for (auto _ : state) {
@@ -81,9 +82,9 @@ BENCHMARK(BM_StreamIngest)->Unit(benchmark::kMillisecond);
 
 /// WAL-protected ingest: the same replay with every batch appended to a
 /// write-ahead log segment first. Arg(0) = WalFsync::kNever (the default;
-/// the <10% overhead claim in docs/fault_tolerance.md is against
-/// BM_StreamIngest), Arg(1) = kEveryBatch (the machine-crash-safe mode,
-/// expected to be dominated by fsync latency).
+/// docs/fault_tolerance.md states its cost against BM_StreamIngest),
+/// Arg(1) = kEveryBatch (the machine-crash-safe mode, expected to be
+/// dominated by fsync latency).
 void BM_StreamIngestWal(benchmark::State& state) {
   const auto& batches = stream_batches();
   const std::string prefix =
@@ -110,6 +111,40 @@ void BM_StreamIngestWal(benchmark::State& state) {
                           static_cast<std::int64_t>(stream_events().nnz()));
 }
 BENCHMARK(BM_StreamIngestWal)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+/// Windowed ingest: replay the events through a 32-tick window, so from the
+/// ninth batch on every batch evicts as many ticks as it adds. Arg(0)
+/// times apply() + coo() (ingest and compaction) of every batch, Arg(1)
+/// the csf() rebuild that follows it; timing is paused everywhere else.
+/// CI requires /0 to stay below /1 in the same run.
+void BM_StreamWindowSlide(benchmark::State& state) {
+  const bool time_rebuild = state.range(0) != 0;
+  const auto& batches = stream_batches();
+  StreamingOptions opts;
+  opts.window = 32;
+  for (auto _ : state) {
+    state.PauseTiming();
+    StreamingTensor tensor(std::vector<index_t>(3, 1), opts);
+    for (const CooTensor& b : batches) {
+      if (!time_rebuild) {
+        state.ResumeTiming();
+      }
+      tensor.apply(b);
+      benchmark::DoNotOptimize(tensor.coo().nnz());
+      if (time_rebuild) {
+        state.ResumeTiming();
+      } else {
+        state.PauseTiming();
+      }
+      benchmark::DoNotOptimize(tensor.csf().nnz());
+      if (time_rebuild) {
+        state.PauseTiming();
+      }
+    }
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_StreamWindowSlide)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// Structural refresh: each iteration appends one brand-new entry (a fresh
 /// time tick, so the coordinate cannot collide) and times the full CSF

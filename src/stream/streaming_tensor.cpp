@@ -1,6 +1,7 @@
 #include "stream/streaming_tensor.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 #include <utility>
 
@@ -56,6 +57,14 @@ struct IngestMetrics {
   }
 };
 
+/// Table size for `count` positions: a power of two at least twice the
+/// count, so the load stays at most 1/2.
+std::size_t index_slots_for(offset_t count) {
+  constexpr std::size_t kMinSlots = 16;
+  return std::bit_ceil(
+      std::max<std::size_t>(kMinSlots, 2 * static_cast<std::size_t>(count)));
+}
+
 }  // namespace
 
 StreamingTensor::StreamingTensor(std::vector<index_t> initial_dims,
@@ -73,14 +82,13 @@ StreamingTensor::StreamingTensor(std::vector<index_t> initial_dims,
 
 std::uint64_t StreamingTensor::hash_coord(const CooTensor& t,
                                           offset_t n) const {
-  // FNV-1a over the coordinate tuple, 4 bytes per mode.
-  std::uint64_t h = 1469598103934665603ULL;
+  // Multiply-xorshift, one index per step. The hash never leaves this
+  // table and every hit is verified by exact compare, so it only has to
+  // spread the slots.
+  std::uint64_t h = 0;
   for (std::size_t m = 0; m < t.order(); ++m) {
-    std::uint32_t idx = t.index(m, n);
-    for (int b = 0; b < 4; ++b) {
-      h ^= (idx >> (8 * b)) & 0xffU;
-      h *= 1099511628211ULL;
-    }
+    h = (h ^ t.index(m, n)) * 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 32;
   }
   return h;
 }
@@ -93,6 +101,29 @@ bool StreamingTensor::same_coord(offset_t a, const CooTensor& batch,
     }
   }
   return true;
+}
+
+std::size_t StreamingTensor::find_slot(const CooTensor& t, offset_t n) const {
+  const std::size_t mask = coord_index_.size() - 1;
+  std::size_t slot = hash_coord(t, n) & mask;
+  while (coord_index_[slot] != kEmptySlot &&
+         !same_coord(coord_index_[slot], t, n)) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+void StreamingTensor::rebuild_index(std::size_t slots) {
+  coord_index_.assign(slots, kEmptySlot);
+  const std::size_t mask = slots - 1;
+  // Stored coordinates are distinct, so no compare is needed.
+  for (offset_t n = 0; n < coo_.nnz(); ++n) {
+    std::size_t slot = hash_coord(coo_, n) & mask;
+    while (coord_index_[slot] != kEmptySlot) {
+      slot = (slot + 1) & mask;
+    }
+    coord_index_[slot] = n;
+  }
 }
 
 bool StreamingTensor::dead(offset_t n) const {
@@ -174,27 +205,23 @@ offset_t StreamingTensor::apply(const CooTensor& batch) {
     advance_watermark(batch_max);
   }
 
+  const StreamingStats before = stats_;
   offset_t appended = 0;
   std::vector<index_t> coord(order());
   for (offset_t n = 0; n < batch.nnz(); ++n) {
     const index_t t = batch.index(tm, n);
     if (opts_.window > 0 && t < evict_cutoff_) {
       ++stats_.late_dropped;
-      metrics.late_drops.add(1);
       continue;
     }
 
-    const std::uint64_t h = hash_coord(batch, n);
-    std::vector<offset_t>& bucket = coord_map_[h];
-    offset_t pos = coo_.nnz();  // sentinel: not found
-    for (const offset_t p : bucket) {
-      if (same_coord(p, batch, n)) {
-        pos = p;
-        break;
-      }
+    if (2 * (coo_.nnz() + 1) > coord_index_.size()) {
+      rebuild_index(index_slots_for(coo_.nnz() + 1));
     }
+    const std::size_t slot = find_slot(batch, n);
+    const offset_t pos = coord_index_[slot];
 
-    if (pos != coo_.nnz()) {
+    if (pos != kEmptySlot) {
       // Overwrite-duplicate: a value-only change the compiled CSF can
       // absorb without a rebuild.
       if (coo_.value(pos) != batch.value(n)) {
@@ -204,7 +231,6 @@ offset_t StreamingTensor::apply(const CooTensor& batch) {
           value_dirty_.push_back(pos);
         }
         ++stats_.overwritten;
-        metrics.overwrites.add(1);
       }
       continue;
     }
@@ -215,7 +241,7 @@ offset_t StreamingTensor::apply(const CooTensor& batch) {
       coo_.grow_to_fit(m, coord[m]);
     }
     coo_.add(coord, batch.value(n));
-    bucket.push_back(pos);
+    coord_index_[slot] = coo_.nnz() - 1;
     is_dirty_.push_back(0);
     if (live_per_tick_.size() <= t) {
       live_per_tick_.resize(static_cast<std::size_t>(t) + 1, 0);
@@ -224,8 +250,12 @@ offset_t StreamingTensor::apply(const CooTensor& batch) {
     structural_dirty_ = true;
     ++appended;
     ++stats_.appended;
-    metrics.appends.add(1);
   }
+  metrics.appends.add(static_cast<double>(appended));
+  metrics.overwrites.add(
+      static_cast<double>(stats_.overwritten - before.overwritten));
+  metrics.late_drops.add(
+      static_cast<double>(stats_.late_dropped - before.late_dropped));
 
   // Bound the structural garbage: past the churn threshold the deferred
   // eviction sweep stops being an amortization and starts being bloat.
@@ -283,27 +313,14 @@ void StreamingTensor::compact() {
   if (dead_ == 0) {
     return;
   }
-  CooTensor kept(coo_.dims());
-  kept.reserve(nnz());
-  std::vector<index_t> coord(order());
-  for (offset_t n = 0; n < coo_.nnz(); ++n) {
-    if (dead(n)) {
-      continue;
-    }
-    for (std::size_t m = 0; m < order(); ++m) {
-      coord[m] = coo_.index(m, n);
-    }
-    kept.add(coord, coo_.value(n));
-  }
-  coo_ = std::move(kept);
+  // Survivors keep their arrival order: CsfSet sums norm_sq over coo_ in
+  // storage order, so a reordering compaction would move its last bits.
+  coo_.retain_if([this](offset_t n) { return !dead(n); });
   dead_ = 0;
 
-  // Positions moved: rebuild the coordinate map and drop stale dirty
-  // tracking (the pending structural rebuild recompiles from coo_ anyway).
-  coord_map_.clear();
-  for (offset_t n = 0; n < coo_.nnz(); ++n) {
-    coord_map_[hash_coord(coo_, n)].push_back(n);
-  }
+  // Positions moved: rebuild the index for the live count and drop stale
+  // dirty tracking (the pending structural rebuild recompiles from coo_).
+  rebuild_index(index_slots_for(coo_.nnz()));
   value_dirty_.clear();
   is_dirty_.assign(coo_.nnz(), 0);
   structural_dirty_ = true;

@@ -31,7 +31,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "tensor/coo.hpp"
@@ -146,20 +145,27 @@ class StreamingTensor {
   }
 
  private:
-  /// Coordinate -> position in coo_, for overwrite-duplicate detection.
-  /// Keyed by an FNV-1a hash of the coordinate tuple; buckets hold all
-  /// positions with that hash and are verified by exact coordinate compare
-  /// (collisions are legal, just slow).
-  using CoordMap = std::unordered_map<std::uint64_t, std::vector<offset_t>>;
+  /// Marks a free slot of coord_index_.
+  static constexpr offset_t kEmptySlot = static_cast<offset_t>(-1);
 
   std::uint64_t hash_coord(const CooTensor& t, offset_t n) const;
   bool same_coord(offset_t a, const CooTensor& batch, offset_t b) const;
   bool dead(offset_t n) const;
+  /// Slot of coord_index_ holding the stored position whose coordinate
+  /// equals entry n of `t`, or the free slot where that position belongs.
+  std::size_t find_slot(const CooTensor& t, offset_t n) const;
+  /// Re-insert every position of coo_ into an empty table of `slots` slots.
+  void rebuild_index(std::size_t slots);
   void compact();
 
   StreamingOptions opts_;
   CooTensor coo_;
-  CoordMap coord_map_;
+  /// Coordinate -> position in coo_, for overwrite-duplicate detection: a
+  /// flat open-addressing table of coo_ positions (power-of-two size,
+  /// linear probing, at most half full, kEmptySlot where free). It indexes
+  /// every stored entry, evicted or not; each probe hit is verified by
+  /// exact coordinate compare.
+  std::vector<offset_t> coord_index_;
   WriteAheadLog* wal_ = nullptr;
   std::uint64_t last_batch_id_ = 0;
   index_t watermark_ = 0;

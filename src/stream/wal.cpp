@@ -21,6 +21,7 @@
 #include "testing/fault_injection.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
+#include "util/overflow.hpp"
 
 namespace aoadmm {
 namespace {
@@ -125,19 +126,35 @@ void render_record(std::string& payload, std::uint64_t seq,
   put_bytes(payload, batch.values().data(), nnz * sizeof(real_t));
 }
 
-/// Parse one record payload. Returns false on truncation or nonsense
-/// (order 0, beyond kMaxOrder-ish growth is fine — order is bounded only
-/// by sanity here since checksum already passed).
-bool parse_record(std::string_view payload, std::uint64_t& seq,
-                  CooTensor& batch) {
+/// Bytes taken by `nnz` entries of `order` indices and one value each.
+/// False when that size overflows 64 bits, which only a mangled length
+/// field can ask for.
+bool entry_bytes(std::uint64_t order, std::uint64_t nnz,
+                 std::uint64_t& bytes) {
+  try {
+    bytes = checked_mul(nnz, order * sizeof(index_t) + sizeof(real_t),
+                        "wal entry bytes");
+    return true;
+  } catch (const OverflowError&) {
+    return false;
+  }
+}
+
+/// Parse one record payload for a tensor of order `expected_order`.
+/// Returns false on truncation or nonsense (another order, or a length
+/// field that disagrees with the bytes present): a passing checksum does
+/// not make the length fields trustworthy.
+bool parse_record(std::string_view payload, std::size_t expected_order,
+                  std::uint64_t& seq, CooTensor& batch) {
   ByteReader r{payload.data(), payload.data() + payload.size()};
   std::uint32_t order = 0;
   std::uint64_t nnz = 0;
   if (!r.get_pod(seq) || !r.get_pod(order) || !r.get_pod(nnz)) {
     return false;
   }
-  if (order == 0 ||
-      r.remaining() != order * nnz * sizeof(index_t) + nnz * sizeof(real_t)) {
+  std::uint64_t bytes = 0;
+  if (order != expected_order || !entry_bytes(order, nnz, bytes) ||
+      r.remaining() != bytes) {
     return false;
   }
   std::vector<std::vector<index_t>> inds(order);
@@ -503,10 +520,13 @@ WalRecoveryReport WriteAheadLog::recover_into(StreamingTensor& tensor) {
       throw WalError("wal: corrupt checkpoint (" + why + ") at " +
                      checkpoint_file());
     }
-    if (blob.size() < sizeof(std::uint64_t) ||
-        fnv1a(blob.data(), blob.size() - sizeof(std::uint64_t)) !=
-            *reinterpret_cast<const std::uint64_t*>(
-                blob.data() + blob.size() - sizeof(std::uint64_t))) {
+    std::uint64_t stored_sum = 0;
+    if (blob.size() >= sizeof(stored_sum)) {
+      std::memcpy(&stored_sum, blob.data() + blob.size() - sizeof(stored_sum),
+                  sizeof(stored_sum));
+    }
+    if (blob.size() < sizeof(stored_sum) ||
+        fnv1a(blob.data(), blob.size() - sizeof(stored_sum)) != stored_sum) {
       throw WalError("wal: corrupt checkpoint (bad checksum) at " +
                      checkpoint_file());
     }
@@ -529,6 +549,15 @@ WalRecoveryReport WriteAheadLog::recover_into(StreamingTensor& tensor) {
     if (!r.get_pod(nnz)) {
       throw WalError("wal: corrupt checkpoint (truncated nnz) at " +
                      checkpoint_file());
+    }
+    // Bound nnz by the bytes present before allocating for it (the
+    // trailing checksum is not entry data).
+    std::uint64_t bytes = 0;
+    if (!entry_bytes(order, nnz, bytes) ||
+        r.remaining() < sizeof(std::uint64_t) ||
+        bytes > r.remaining() - sizeof(std::uint64_t)) {
+      throw WalError("wal: corrupt checkpoint (nnz " + std::to_string(nnz) +
+                     " exceeds the bytes present) at " + checkpoint_file());
     }
     std::vector<std::vector<index_t>> inds(order);
     for (std::uint32_t m = 0; m < order; ++m) {
@@ -597,7 +626,7 @@ WalRecoveryReport WriteAheadLog::recover_into(StreamingTensor& tensor) {
       r.get_pod(checksum);
       std::uint64_t seq = 0;
       if (fnv1a(payload.data(), payload.size()) != checksum ||
-          !parse_record(payload, seq, batch)) {
+          !parse_record(payload, tensor.order(), seq, batch)) {
         report.torn_tail = true;
         note("corrupt record in " + path);
         break;

@@ -206,23 +206,7 @@ std::vector<offset_t> CooTensor::slice_nnz(std::size_t mode) const {
 }
 
 void CooTensor::prune_explicit_zeros() {
-  const offset_t n = nnz();
-  offset_t out = 0;
-  for (offset_t i = 0; i < n; ++i) {
-    if (vals_[i] != real_t{0}) {
-      if (out != i) {
-        for (auto& mode_inds : inds_) {
-          mode_inds[out] = mode_inds[i];
-        }
-        vals_[out] = vals_[i];
-      }
-      ++out;
-    }
-  }
-  for (auto& mode_inds : inds_) {
-    mode_inds.resize(out);
-  }
-  vals_.resize(out);
+  retain_if([this](offset_t n) { return vals_[n] != real_t{0}; });
 }
 
 }  // namespace aoadmm

@@ -81,6 +81,13 @@ class CooTensor {
   /// Remove all non-zeros with |value| == 0 exactly.
   void prune_explicit_zeros();
 
+  /// Keep only the non-zeros n for which keep(n) is true, in place and in
+  /// their original order; mode lengths are unchanged. keep is called once
+  /// per non-zero in increasing n, before entry n moves, so it may read
+  /// entry n of this tensor.
+  template <typename Keep>
+  void retain_if(Keep keep);
+
  private:
   std::vector<index_t> dims_;
   std::vector<std::vector<index_t>> inds_;  // one array per mode (SoA)
@@ -88,5 +95,27 @@ class CooTensor {
 
   void apply_permutation(const std::vector<offset_t>& perm);
 };
+
+template <typename Keep>
+void CooTensor::retain_if(Keep keep) {
+  const offset_t n = nnz();
+  offset_t out = 0;
+  for (offset_t i = 0; i < n; ++i) {
+    if (!keep(i)) {
+      continue;
+    }
+    if (out != i) {
+      for (auto& mode_inds : inds_) {
+        mode_inds[out] = mode_inds[i];
+      }
+      vals_[out] = vals_[i];
+    }
+    ++out;
+  }
+  for (auto& mode_inds : inds_) {
+    mode_inds.resize(out);
+  }
+  vals_.resize(out);
+}
 
 }  // namespace aoadmm

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -65,6 +66,44 @@ std::vector<CooTensor> make_batches(std::size_t count, offset_t per,
     out.push_back(std::move(batch));
   }
   return out;
+}
+
+/// The WAL's checksum (FNV-1a folded over 64-bit words, then a byte-wise
+/// tail), copied here so a test can write files that pass it.
+std::uint64_t wal_checksum(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ULL;
+  std::size_t i = 0;
+  for (; i + 8 <= bytes.size(); i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, bytes.data() + i, 8);
+    h = (h ^ w) * 1099511628211ULL;
+  }
+  for (; i < bytes.size(); ++i) {
+    h = (h ^ static_cast<unsigned char>(bytes[i])) * 1099511628211ULL;
+  }
+  return h;
+}
+
+template <typename T>
+void put(std::string& buf, T v) {
+  buf.append(reinterpret_cast<const char*>(&v), sizeof(T));
+}
+
+/// File header: 8-byte magic, format version 1, sizeof(real_t).
+std::string wal_header(const char* magic) {
+  std::string h(magic, 8);
+  put<std::uint32_t>(h, 1);
+  put<std::uint32_t>(h, sizeof(real_t));
+  return h;
+}
+
+/// A segment holding one record with a valid checksum around `payload`.
+void write_segment(const std::string& path, const std::string& payload) {
+  std::string seg = wal_header("AOWALSG0");
+  put<std::uint64_t>(seg, payload.size());
+  seg += payload;
+  put<std::uint64_t>(seg, wal_checksum(payload));
+  std::ofstream(path, std::ios::binary) << seg;
 }
 
 void expect_csf_bitwise_equal(const CsfSet& a, const CsfSet& b) {
@@ -275,6 +314,90 @@ TEST_F(WalTest, CorruptCheckpointThrows) {
   StreamingTensor recovered({1, 1, 1}, StreamingOptions{});
   WriteAheadLog replayer(prefix(), WalOptions{});
   EXPECT_THROW(replayer.recover_into(recovered), WalError);
+}
+
+TEST_F(WalTest, RecordWithLyingLengthFieldsIsCorruptAndLaterSegmentsReplay) {
+  // Checksums pass; the length fields do not. seg1: nnz = 2^62 at order 3,
+  // whose entry bytes wrap to 0 in 64 bits, so the 20-byte payload would
+  // pass an unchecked size compare. seg2: a well-formed order-2 record,
+  // which cannot belong to an order-3 log.
+  std::string wrapped;
+  put<std::uint64_t>(wrapped, 1);  // seq
+  put<std::uint32_t>(wrapped, 3);  // order
+  put<std::uint64_t>(wrapped, std::uint64_t{1} << 62);  // nnz
+  write_segment(prefix() + ".seg1", wrapped);
+  std::string other_order;
+  put<std::uint64_t>(other_order, 1);
+  put<std::uint32_t>(other_order, 2);
+  put<std::uint64_t>(other_order, 1);
+  put<index_t>(other_order, 0);
+  put<index_t>(other_order, 0);
+  put<real_t>(other_order, 1.0);
+  write_segment(prefix() + ".seg2", other_order);
+
+  const CooTensor batch = make_batches(1, 20)[0];
+  {
+    StreamingTensor t({1, 1, 1}, StreamingOptions{});
+    WriteAheadLog wal(prefix(), WalOptions{});  // appends to seg3
+    t.attach_wal(&wal);
+    t.apply(batch);
+  }
+
+  StreamingTensor recovered({1, 1, 1}, StreamingOptions{});
+  WriteAheadLog replayer(prefix(), WalOptions{});
+  const WalRecoveryReport report = replayer.recover_into(recovered);
+  EXPECT_TRUE(report.torn_tail);
+  EXPECT_EQ(report.segments_scanned, 3u);
+  EXPECT_EQ(report.records_recovered, 1u);
+  EXPECT_NE(report.detail.find("corrupt record in " + prefix() + ".seg1"),
+            std::string::npos)
+      << report.detail;
+  EXPECT_NE(report.detail.find("corrupt record in " + prefix() + ".seg2"),
+            std::string::npos)
+      << report.detail;
+  StreamingTensor reference({1, 1, 1}, StreamingOptions{});
+  reference.apply(batch);
+  EXPECT_EQ(recovered.state_digest(), reference.state_digest());
+}
+
+TEST_F(WalTest, CheckpointNnzBeyondTheBytesPresentThrowsWalError) {
+  // A checksummed checkpoint whose nnz promises more entries than follow
+  // must be rejected before anything is allocated for them.
+  const auto checkpoint = [](bool with_nnz, std::uint64_t nnz,
+                             std::uint64_t watermark) {
+    std::string body = wal_header("AOWALCK0");
+    put<std::uint64_t>(body, 0);  // covered seq
+    put<std::uint64_t>(body, watermark);
+    put<std::uint32_t>(body, 3);  // order
+    for (int m = 0; m < 3; ++m) {
+      put<index_t>(body, 4);  // dims
+    }
+    if (with_nnz) {
+      put<std::uint64_t>(body, nnz);
+    }
+    put<std::uint64_t>(body, wal_checksum(body));
+    return body;
+  };
+  const auto expect_wal_error = [this](const std::string& blob) {
+    std::ofstream(prefix() + ".ckpt", std::ios::binary) << blob;
+    StreamingTensor recovered({1, 1, 1}, StreamingOptions{});
+    WriteAheadLog replayer(prefix(), WalOptions{});
+    EXPECT_THROW(replayer.recover_into(recovered), WalError);
+  };
+  expect_wal_error(checkpoint(true, std::uint64_t{1} << 40, 0));  // 20 TiB
+
+  // No nnz field: the reader takes the checksum trailer for it, leaving no
+  // bytes at all behind it. Pick a watermark whose checksum is small
+  // enough that its entry bytes do not overflow, so only the bound on the
+  // bytes present can reject it.
+  std::string blob;
+  std::uint64_t nnz = ~std::uint64_t{0};
+  for (std::uint64_t watermark = 0; nnz >= (std::uint64_t{1} << 58);
+       ++watermark) {
+    blob = checkpoint(false, 0, watermark);
+    std::memcpy(&nnz, blob.data() + blob.size() - sizeof(nnz), sizeof(nnz));
+  }
+  expect_wal_error(blob);
 }
 
 TEST_F(WalTest, InjectedWriteFaultDegradesNotThrows) {
