@@ -16,12 +16,11 @@ int main() {
                "convergence behaviour");
 
   const std::size_t block_sizes[] = {1, 8, 50, 256, 4096};
-  CpdOptions common = default_cpd_options();
+  CpdConfig common = default_cpd_config();
   common.max_outer_iterations = bench_max_outer(10);
   common.tolerance = 0;
   common.admm.max_iterations = 25;
   common.variant = AdmmVariant::kBlocked;
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
 
   TablePrinter table(
       {"Dataset", "block", "time(s)", "final err", "row-iters"},
@@ -31,9 +30,9 @@ int main() {
   for (const std::string name : {"reddit-s", "nell-s"}) {
     const CsfSet& csf = DatasetCache::instance().csf(name);
     for (const std::size_t b : block_sizes) {
-      CpdOptions opts = common;
-      opts.admm.block_size = b;
-      const CpdResult r = cpd_aoadmm(csf, opts, {&nonneg, 1});
+      CpdConfig cfg = common;
+      cfg.admm.block_size = b;
+      const CpdResult r = CpdSolver(csf, cfg).solve();
       table.print_row({name, std::to_string(b),
                        TablePrinter::fmt(r.times.total_seconds, 3),
                        TablePrinter::fmt(r.relative_error, 6),

@@ -14,7 +14,6 @@ int main() {
                "same factorization on both compilations; ONEMODE trades "
                "MTTKRP speed for ~3x less tensor memory");
 
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
   TablePrinter table({"Dataset", "strategy", "CSF MB", "time(s)",
                       "mttkrp(s)", "final err"},
                      {12, 10, 10, 10, 11, 12});
@@ -25,10 +24,10 @@ int main() {
     for (const CsfStrategy strategy :
          {CsfStrategy::kAllMode, CsfStrategy::kOneMode}) {
       const CsfSet csf(coo, strategy);
-      CpdOptions opts = default_cpd_options();
-      opts.max_outer_iterations = bench_max_outer(5);
-      opts.tolerance = 0;
-      const CpdResult r = cpd_aoadmm(csf, opts, {&nonneg, 1});
+      CpdConfig cfg = default_cpd_config();
+      cfg.max_outer_iterations = bench_max_outer(5);
+      cfg.tolerance = 0;
+      const CpdResult r = CpdSolver(csf, cfg).solve();
       table.print_row(
           {name, to_string(strategy),
            TablePrinter::fmt(static_cast<double>(csf.storage_bytes()) /

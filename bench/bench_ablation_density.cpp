@@ -26,12 +26,13 @@ int main() {
   for (const std::string name : {"reddit-s", "amazon-s"}) {
     const CsfSet& csf = DatasetCache::instance().csf(name);
     for (const real_t thr : thresholds) {
-      CpdOptions opts = default_cpd_options();
-      opts.max_outer_iterations = bench_max_outer(8);
-      opts.tolerance = 0;
-      opts.leaf_format = LeafFormat::kCsr;
-      opts.sparsity_threshold = thr;
-      const CpdResult r = cpd_aoadmm(csf, opts, {&l1, 1});
+      CpdConfig cfg = default_cpd_config();
+      cfg.max_outer_iterations = bench_max_outer(8);
+      cfg.tolerance = 0;
+      cfg.leaf_format = LeafFormat::kCsr;
+      cfg.sparsity_threshold = thr;
+      cfg.with_constraints(ModeConstraints::broadcast(l1));
+      const CpdResult r = CpdSolver(csf, cfg).solve();
       table.print_row({name, TablePrinter::pct(thr, 0),
                        TablePrinter::fmt(r.times.total_seconds, 3),
                        TablePrinter::fmt(r.relative_error, 5),

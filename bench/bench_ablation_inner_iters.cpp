@@ -16,7 +16,6 @@ int main() {
                "quality/time vs inner budget");
 
   const unsigned caps[] = {1, 2, 5, 10, 25, 50};
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
 
   TablePrinter table({"Dataset", "inner cap", "time(s)", "final err",
                       "row-iters"},
@@ -26,11 +25,11 @@ int main() {
   for (const std::string name : {"reddit-s", "patents-s"}) {
     const CsfSet& csf = DatasetCache::instance().csf(name);
     for (const unsigned cap : caps) {
-      CpdOptions opts = default_cpd_options();
-      opts.max_outer_iterations = bench_max_outer(10);
-      opts.tolerance = 0;
-      opts.admm.max_iterations = cap;
-      const CpdResult r = cpd_aoadmm(csf, opts, {&nonneg, 1});
+      CpdConfig cfg = default_cpd_config();
+      cfg.max_outer_iterations = bench_max_outer(10);
+      cfg.tolerance = 0;
+      cfg.admm.max_iterations = cap;
+      const CpdResult r = CpdSolver(csf, cfg).solve();
       table.print_row({name, std::to_string(cap),
                        TablePrinter::fmt(r.times.total_seconds, 3),
                        TablePrinter::fmt(r.relative_error, 6),

@@ -1,7 +1,7 @@
-// Ablation (library extension): least-squares-over-all-cells CPD
-// (cpd_aoadmm; missing = zero) vs observed-only CPD (the frobenius:masked
-// loss; missing = unknown) as the sampling density of a planted low-rank
-// tensor varies.
+// Ablation (library extension): least-squares-over-all-cells CPD (the
+// default frobenius loss; missing = zero) vs observed-only CPD (the
+// frobenius:masked loss; missing = unknown) as the sampling density of a
+// planted low-rank tensor varies.
 // Reports training fit and held-out RMSE: the observed-only objective
 // should dominate on sparsely sampled data and the gap should close as the
 // tensor approaches fully observed.
@@ -44,10 +44,10 @@ int main() {
     const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
 
     {
-      CpdOptions opts = default_cpd_options();
-      opts.rank = 6;
-      opts.max_outer_iterations = bench_max_outer(40);
-      const CpdResult r = cpd_aoadmm(csf, opts, {&nonneg, 1});
+      CpdConfig cfg = default_cpd_config();
+      cfg.rank = 6;
+      cfg.max_outer_iterations = bench_max_outer(40);
+      const CpdResult r = CpdSolver(csf, cfg).solve();
       const PredictionMetrics m = evaluate_predictions(split.test,
                                                        r.factors);
       table.print_row({TablePrinter::pct(fill, 0), "ls",

@@ -14,7 +14,6 @@ int main() {
                "1.8}; fixed outer iterations");
 
   const real_t alphas[] = {1.0, 1.5, 1.8};
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
 
   TablePrinter table({"Dataset", "alpha", "time(s)", "final err",
                       "inner iters"},
@@ -24,12 +23,12 @@ int main() {
   for (const std::string name : {"reddit-s", "nell-s"}) {
     const CsfSet& csf = DatasetCache::instance().csf(name);
     for (const real_t alpha : alphas) {
-      CpdOptions opts = default_cpd_options();
-      opts.max_outer_iterations = bench_max_outer(10);
-      opts.tolerance = 0;
-      opts.admm.max_iterations = 25;
-      opts.admm.relaxation = alpha;
-      const CpdResult r = cpd_aoadmm(csf, opts, {&nonneg, 1});
+      CpdConfig cfg = default_cpd_config();
+      cfg.max_outer_iterations = bench_max_outer(10);
+      cfg.tolerance = 0;
+      cfg.admm.max_iterations = 25;
+      cfg.admm.relaxation = alpha;
+      const CpdResult r = CpdSolver(csf, cfg).solve();
       table.print_row({name, TablePrinter::fmt(alpha, 1),
                        TablePrinter::fmt(r.times.total_seconds, 3),
                        TablePrinter::fmt(r.relative_error, 6),

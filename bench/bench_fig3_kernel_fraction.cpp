@@ -17,10 +17,9 @@ int main() {
                "rank-50 non-negative CPD in the paper; baseline (unblocked) "
                "AO-ADMM, no sparsity optimizations");
 
-  CpdOptions opts = default_cpd_options();
-  opts.variant = AdmmVariant::kBaseline;
-  opts.max_outer_iterations = bench_max_outer(5);
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
+  CpdConfig cfg = default_cpd_config();
+  cfg.variant = AdmmVariant::kBaseline;
+  cfg.max_outer_iterations = bench_max_outer(5);
 
   TablePrinter table({"Dataset", "MTTKRP", "ADMM", "OTHER", "total(s)"},
                      {12, 10, 10, 10, 12});
@@ -28,7 +27,7 @@ int main() {
 
   for (const NamedDataset& d : DatasetCache::instance().descriptors()) {
     const CsfSet& csf = DatasetCache::instance().csf(d.name);
-    const CpdResult r = cpd_aoadmm(csf, opts, {&nonneg, 1});
+    const CpdResult r = CpdSolver(csf, cfg).solve();
     table.print_row({d.name, TablePrinter::pct(r.times.mttkrp_fraction()),
                      TablePrinter::pct(r.times.admm_fraction()),
                      TablePrinter::pct(r.times.other_fraction()),

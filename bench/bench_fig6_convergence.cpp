@@ -60,13 +60,12 @@ int main() {
                "relative error vs time AND vs outer iteration, rank-50 "
                "non-negative CPD in the paper");
 
-  CpdOptions common = default_cpd_options();
+  CpdConfig common = default_cpd_config();
   common.max_outer_iterations = bench_max_outer(20);
   common.tolerance = 1e-6;
   // Allow more inner iterations so non-uniform convergence (the effect
   // blocking exploits) is visible.
   common.admm.max_iterations = 25;
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
 
   TablePrinter summary({"Dataset", "variant", "iters", "time(s)",
                         "final err", "row-iters"},
@@ -84,14 +83,14 @@ int main() {
     Run run;
     run.dataset = d.name;
     {
-      CpdOptions opts = common;
-      opts.variant = AdmmVariant::kBaseline;
-      run.base = cpd_aoadmm(csf, opts, {&nonneg, 1});
+      CpdConfig cfg = common;
+      cfg.variant = AdmmVariant::kBaseline;
+      run.base = CpdSolver(csf, cfg).solve();
     }
     {
-      CpdOptions opts = common;
-      opts.variant = AdmmVariant::kBlocked;
-      run.blocked = cpd_aoadmm(csf, opts, {&nonneg, 1});
+      CpdConfig cfg = common;
+      cfg.variant = AdmmVariant::kBlocked;
+      run.blocked = CpdSolver(csf, cfg).solve();
     }
     runs.push_back(std::move(run));
   }

@@ -4,8 +4,8 @@
 // so repeated solves — the parameter-sweep and warm-restart workload the
 // session API exists for — pay none of it again. This harness measures
 // that: per-solve wall time and aligned-allocator traffic for (a) a fresh
-// session per solve (the old cpd_aoadmm behavior), (b) repeat cold solves
-// on one session, and (c) warm starts on one session.
+// session per solve, (b) repeat cold solves on one session, and (c) warm
+// starts on one session.
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -56,11 +56,10 @@ int main() {
 
   for (const std::string name : {"reddit-s", "patents-s"}) {
     const CsfSet& csf = DatasetCache::instance().csf(name);
-    CpdOptions opts = default_cpd_options();
-    opts.max_outer_iterations = bench_max_outer(10);
-    opts.tolerance = 0;
-    opts.record_trace = false;
-    const CpdConfig cfg(opts);
+    CpdConfig cfg = default_cpd_config();
+    cfg.max_outer_iterations = bench_max_outer(10);
+    cfg.tolerance = 0;
+    cfg.record_trace = false;
 
     // (a) Fresh session per solve — construction + first-touch every time.
     for (unsigned i = 1; i <= repeats; ++i) {

@@ -65,13 +65,14 @@ int main() {
     for (const rank_t rank : ranks) {
       for (const LeafFormat fmt :
            {LeafFormat::kDense, LeafFormat::kCsr, LeafFormat::kHybrid}) {
-        CpdOptions opts = default_cpd_options();
-        opts.rank = rank;
-        opts.max_outer_iterations = bench_max_outer(8);
-        opts.tolerance = 0;  // fixed outer count => comparable times
-        opts.leaf_format = fmt;
-        opts.sparsity_threshold = 0.20;  // paper §V.E
-        const CpdResult r = cpd_aoadmm(csf, opts, {&l1, 1});
+        CpdConfig cfg = default_cpd_config();
+        cfg.rank = rank;
+        cfg.max_outer_iterations = bench_max_outer(8);
+        cfg.tolerance = 0;  // fixed outer count => comparable times
+        cfg.leaf_format = fmt;
+        cfg.sparsity_threshold = 0.20;  // paper §V.E
+        cfg.with_constraints(ModeConstraints::broadcast(l1));
+        const CpdResult r = CpdSolver(csf, cfg).solve();
 
         // The factor stored sparsely during MTTKRP is the longest mode's
         // (the leaf of every CSF tree); report its final density.
@@ -108,11 +109,12 @@ int main() {
     const CsfSet& csf = DatasetCache::instance().csf(name);
     const CsfTensor& tree = csf.for_mode(0);
     for (const rank_t rank : ranks) {
-      CpdOptions opts = default_cpd_options();
-      opts.rank = rank;
-      opts.max_outer_iterations = bench_max_outer(8);
-      opts.tolerance = 0;
-      const CpdResult r = cpd_aoadmm(csf, opts, {&l1, 1});
+      CpdConfig cfg = default_cpd_config();
+      cfg.rank = rank;
+      cfg.max_outer_iterations = bench_max_outer(8);
+      cfg.tolerance = 0;
+      cfg.with_constraints(ModeConstraints::broadcast(l1));
+      const CpdResult r = CpdSolver(csf, cfg).solve();
 
       const std::size_t leaf_mode = tree.level_mode(2);
       const Matrix& leaf_dense = r.factors[leaf_mode];

@@ -113,18 +113,20 @@ std::vector<NamedDataset> DatasetCache::descriptors() const {
   return frostt_standins(bench_scale());
 }
 
-CpdOptions default_cpd_options() {
-  CpdOptions opts;
-  opts.rank = bench_rank();
-  opts.tolerance = 1e-6;  // paper §V.A
-  opts.max_outer_iterations = bench_max_outer(200);
-  opts.admm.tolerance = 1e-2;
+CpdConfig default_cpd_config() {
+  CpdConfig cfg;
+  cfg.rank = bench_rank();
+  cfg.tolerance = 1e-6;  // paper §V.A
+  cfg.max_outer_iterations = bench_max_outer(200);
+  cfg.admm.tolerance = 1e-2;
   // AO-ADMM runs few inner iterations per update (warm starts make the
   // subproblems easy; cf. Huang et al. and bench_ablation_inner_iters).
-  opts.admm.max_iterations = 5;
-  opts.admm.block_size = 50;  // paper §IV.B
-  opts.seed = 4242;
-  return opts;
+  cfg.admm.max_iterations = 5;
+  cfg.admm.block_size = 50;  // paper §IV.B
+  cfg.seed = 4242;
+  cfg.with_constraints(
+      ModeConstraints::broadcast({ConstraintKind::kNonNegative}));
+  return cfg;
 }
 
 SyntheticSpec zipf_workload(std::size_t order, real_t alpha) {

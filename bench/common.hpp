@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "core/cpd.hpp"
+#include "core/solver.hpp"
 #include "tensor/coo.hpp"
 #include "tensor/csf.hpp"
 #include "tensor/synthetic.hpp"
@@ -48,9 +48,10 @@ class DatasetCache {
   std::map<std::string, CsfSet> csf_;
 };
 
-/// Default CPD options shared by the harnesses (rank/tolerances per paper,
-/// iteration caps scaled for the container).
-CpdOptions default_cpd_options();
+/// Default CPD configuration shared by the harnesses: non-negativity on
+/// every mode, rank/tolerances per paper, iteration caps scaled for the
+/// container.
+CpdConfig default_cpd_config();
 
 /// Power-law MTTKRP workload for the kernel head-to-head suite
 /// (bench_mttkrp_kernels): `order` in {3, 4, 5} with per-mode Zipf

@@ -16,11 +16,10 @@ inline int run_scaling_figure(const char* title, AdmmVariant variant) {
                "1 thread. NOTE: flat curves on a 1-core container are "
                "expected — rerun on a multicore host for the paper's shape.");
 
-  CpdOptions opts = default_cpd_options();
-  opts.variant = variant;
-  opts.max_outer_iterations = bench_max_outer(5);
-  opts.tolerance = 0;  // fixed work per run so times are comparable
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
+  CpdConfig cfg = default_cpd_config();
+  cfg.variant = variant;
+  cfg.max_outer_iterations = bench_max_outer(5);
+  cfg.tolerance = 0;  // fixed work per run so times are comparable
   const auto threads = bench_thread_sweep();
 
   TablePrinter table({"Dataset", "threads", "time(s)", "speedup"},
@@ -33,7 +32,7 @@ inline int run_scaling_figure(const char* title, AdmmVariant variant) {
     double t1 = 0;
     for (const int t : threads) {
       set_num_threads(t);
-      const CpdResult r = cpd_aoadmm(csf, opts, {&nonneg, 1});
+      const CpdResult r = CpdSolver(csf, cfg).solve();
       if (t == 1) {
         t1 = r.times.total_seconds;
       }

@@ -12,7 +12,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/cpd.hpp"
+#include "core/solver.hpp"
 #include "tensor/coo.hpp"
 #include "util/options.hpp"
 #include "util/rng.hpp"
@@ -79,12 +79,11 @@ int main(int argc, char** argv) {
               kAnomalySource, anomaly_start, anomaly_start + anomaly_len);
 
   const CsfSet csf(x);
-  CpdOptions cpd_opts;
-  cpd_opts.rank = rank;
-  cpd_opts.max_outer_iterations = 40;
-  cpd_opts.tolerance = 1e-5;
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  const CpdResult r = cpd_aoadmm(csf, cpd_opts, {&nonneg, 1});
+  CpdConfig cfg;
+  cfg.with_rank(rank).with_max_outer(40).with_tolerance(1e-5).with_constraints(
+      ModeConstraints::broadcast({ConstraintKind::kNonNegative}));
+  CpdSolver solver(csf, cfg);
+  const CpdResult r = solver.solve();
   std::printf("factorized: %u outer iterations, relative error %.4f\n\n",
               r.outer_iterations, static_cast<double>(r.relative_error));
 

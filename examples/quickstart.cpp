@@ -8,7 +8,7 @@
 // Build & run:  ./quickstart [--rank 8] [--constraint nonneg] [--lambda 0.1]
 #include <cstdio>
 
-#include "core/cpd.hpp"
+#include "core/solver.hpp"
 #include "tensor/synthetic.hpp"
 #include "util/options.hpp"
 
@@ -39,12 +39,14 @@ int main(int argc, char** argv) {
   const CsfSet csf(x);
 
   // 3. Factorize.
-  CpdOptions cpd_opts;
-  cpd_opts.rank = rank;
-  cpd_opts.max_outer_iterations = 50;
-  cpd_opts.tolerance = 1e-5;
-  cpd_opts.variant = AdmmVariant::kBlocked;  // the paper's fast path
-  const CpdResult result = cpd_aoadmm(csf, cpd_opts, {&constraint, 1});
+  CpdConfig cfg;
+  cfg.with_rank(rank)
+      .with_max_outer(50)
+      .with_tolerance(1e-5)
+      .with_variant(AdmmVariant::kBlocked)  // the paper's fast path
+      .with_constraints(ModeConstraints::broadcast(constraint));
+  CpdSolver solver(csf, cfg);
+  const CpdResult result = solver.solve();
 
   // 4. Report.
   std::printf("\nconstraint      : %s (lambda=%.3g)\n",

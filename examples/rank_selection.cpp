@@ -8,8 +8,8 @@
 #include <cstdio>
 
 #include "core/corcondia.hpp"
-#include "core/cpd.hpp"
 #include "core/eval.hpp"
+#include "core/solver.hpp"
 #include "tensor/synthetic.hpp"
 #include "tensor/transform.hpp"
 #include "util/options.hpp"
@@ -49,12 +49,12 @@ int main(int argc, char** argv) {
   real_t best_rmse = 0;
   bool first = true;
   for (rank_t rank = 1; rank <= max_rank; ++rank) {
-    CpdOptions cpd_opts;
-    cpd_opts.rank = rank;
-    cpd_opts.max_outer_iterations = 60;
-    cpd_opts.tolerance = 1e-6;
-    const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-    const CpdResult r = cpd_aoadmm(csf, cpd_opts, {&nonneg, 1});
+    CpdConfig cfg;
+    cfg.with_rank(rank).with_max_outer(60).with_tolerance(1e-6)
+        .with_constraints(
+            ModeConstraints::broadcast({ConstraintKind::kNonNegative}));
+    CpdSolver solver(csf, cfg);
+    const CpdResult r = solver.solve();
 
     const PredictionMetrics holdout =
         evaluate_predictions(split.test, r.factors);

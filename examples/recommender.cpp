@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/cpd.hpp"
 #include "core/eval.hpp"
 #include "core/kruskal.hpp"
 #include "core/solver.hpp"
@@ -129,10 +128,11 @@ int main(int argc, char** argv) {
               static_cast<double>(holdout.mean_value));
 
   {
-    CpdOptions unweighted;
-    unweighted.rank = rank;
-    unweighted.max_outer_iterations = 40;
-    const CpdResult ru = cpd_aoadmm(csf, unweighted, {&nonneg, 1});
+    CpdConfig unweighted;
+    unweighted.with_rank(rank).with_max_outer(40).with_constraints(
+        ModeConstraints::broadcast(nonneg));
+    CpdSolver unweighted_solver(csf, unweighted);
+    const CpdResult ru = unweighted_solver.solve();
     const PredictionMetrics mu = evaluate_predictions(split.test,
                                                       ru.factors);
     std::printf("(unweighted CPD for comparison: held-out RMSE %.3f — "

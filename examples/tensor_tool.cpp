@@ -68,10 +68,12 @@
 // through the scatter kernels, 1/order the memory; tiled blocks the leaf
 // mode in --tile-rows chunks for cache residency; dimtree caches partial
 // contractions across the mode sweep on one tree; alto runs the
-// bit-interleaved linearized kernel). --mttkrp-schedule picks
-// the scatter/scheduling policy (auto; weighted = nnz-weighted static
-// chunks + privatized reduction; owner = owner-computes partitioning;
-// dynamic = the legacy atomic baseline, for ablations).
+// bit-interleaved linearized kernel). --tile-rows N compiles the tiled CSF;
+// only auto and tiled run on it, and any other kernel, a loss other than
+// frobenius, or --shards/--spill-dir is an error (exit 1).
+// --mttkrp-schedule picks the scatter/scheduling policy (auto; weighted =
+// nnz-weighted static chunks + privatized reduction; owner = owner-computes
+// partitioning; dynamic = the legacy atomic baseline, for ablations).
 //
 // Sharding (cpd): --shards=AxBxC splits the tensor into a medium-grained
 // N-D grid of CSF tiles (one extent per mode) solved by per-shard workers
@@ -315,7 +317,6 @@ std::string cli_flag_for(const std::string& field) {
   if (field == "leaf_format") return "--format";
   if (field == "mttkrp_kernel") return "--mttkrp-kernel";
   if (field == "mttkrp_schedule") return "--mttkrp-schedule";
-  if (field == "mttkrp_tile_rows") return "--tile-rows";
   if (field == "checkpoint_path") return "--checkpoint";
   if (field == "checkpoint_every") return "--checkpoint-every";
   if (field == "robustness.max_recoveries") return "--max-recoveries";
@@ -384,8 +385,12 @@ int cmd_cpd(const Options& opts) {
                      "--mttkrp-schedule must be auto|dynamic|weighted|owner");
   }
 
+  // --tile-rows compiles the tiled CSF; the solver rejects a kernel or a
+  // loss that cannot run on it.
   const auto tile_rows =
       static_cast<index_t>(opts.get_int("tile-rows", 0));
+  AOADMM_CHECK_MSG(!(sharded && tile_rows > 0),
+                   "--tile-rows does not support --shards/--spill-dir");
   // The single-tree kernels (onetree, and the cached dimtree/alto engines
   // built on top of it) need the one-mode compilation.
   const CsfStrategy strategy = (kernel == MttkrpKernel::kOneTree ||
@@ -393,12 +398,6 @@ int cmd_cpd(const Options& opts) {
                                 kernel == MttkrpKernel::kAlto)
                                    ? CsfStrategy::kOneMode
                                    : CsfStrategy::kAllMode;
-  // --tile-rows implies the tiled kernel unless the user forced another one
-  // (validate() warns about that combination below).
-  const index_t build_tile_rows =
-      (kernel == MttkrpKernel::kTiled || kernel == MttkrpKernel::kAuto)
-          ? tile_rows
-          : 0;
 
   std::optional<CsfSet> csf;
   if (sharded) {
@@ -410,35 +409,33 @@ int cmd_cpd(const Options& opts) {
   } else {
     std::printf("loaded %llu non-zeros; compiling CSF (%s%s)...\n",
                 static_cast<unsigned long long>(x.nnz()), to_string(strategy),
-                build_tile_rows > 0 ? ", tiled" : "");
-    csf.emplace(x, strategy, build_tile_rows);
+                tile_rows > 0 ? ", tiled" : "");
+    csf.emplace(x, strategy, tile_rows);
   }
 
-  CpdOptions cpd_opts;
-  cpd_opts.mttkrp_kernel = kernel;
-  cpd_opts.mttkrp_schedule = schedule;
-  cpd_opts.mttkrp_tile_rows = tile_rows;
-  cpd_opts.rank = static_cast<rank_t>(opts.get_int("rank", 16));
-  cpd_opts.max_outer_iterations =
-      static_cast<unsigned>(opts.get_int("max-outer", 50));
-  cpd_opts.tolerance = static_cast<real_t>(opts.get_double("tol", 1e-5));
-  cpd_opts.admm.block_size =
+  CpdConfig config;
+  config.with_mttkrp_kernel(kernel)
+      .with_mttkrp_schedule(schedule)
+      .with_rank(static_cast<rank_t>(opts.get_int("rank", 16)))
+      .with_max_outer(static_cast<unsigned>(opts.get_int("max-outer", 50)))
+      .with_tolerance(static_cast<real_t>(opts.get_double("tol", 1e-5)))
+      .with_seed(static_cast<std::uint64_t>(opts.get_int("seed", 123)));
+  config.admm.block_size =
       static_cast<std::size_t>(opts.get_int("block", 50));
-  cpd_opts.seed = static_cast<std::uint64_t>(opts.get_int("seed", 123));
 
   const std::string variant = opts.get_string("variant", "blocked");
   AOADMM_CHECK_MSG(variant == "blocked" || variant == "base",
                    "--variant must be blocked|base");
-  cpd_opts.variant =
+  config.variant =
       variant == "blocked" ? AdmmVariant::kBlocked : AdmmVariant::kBaseline;
 
   const std::string fmt = opts.get_string("format", "dense");
   if (fmt == "csr") {
-    cpd_opts.leaf_format = LeafFormat::kCsr;
+    config.leaf_format = LeafFormat::kCsr;
   } else if (fmt == "csr-h") {
-    cpd_opts.leaf_format = LeafFormat::kHybrid;
+    config.leaf_format = LeafFormat::kHybrid;
   } else if (fmt == "auto") {
-    cpd_opts.leaf_format = LeafFormat::kAuto;
+    config.leaf_format = LeafFormat::kAuto;
   } else {
     AOADMM_CHECK_MSG(fmt == "dense",
                      "--format must be dense|csr|csr-h|auto");
@@ -459,16 +456,16 @@ int cmd_cpd(const Options& opts) {
 
   if (opts.has("adaptive-rho") || opts.has("adaptive-ratio") ||
       opts.has("adaptive-rescale")) {
-    cpd_opts.admm.adaptive.enabled = true;
-    cpd_opts.admm.adaptive.ratio =
+    config.admm.adaptive.enabled = true;
+    config.admm.adaptive.ratio =
         static_cast<real_t>(opts.get_double("adaptive-ratio", 10.0));
-    cpd_opts.admm.adaptive.rescale =
+    config.admm.adaptive.rescale =
         static_cast<real_t>(opts.get_double("adaptive-rescale", 2.0));
   }
 
   if (opts.has("robust") || opts.has("max-recoveries")) {
-    cpd_opts.admm.robustness.enabled = true;
-    cpd_opts.admm.robustness.max_recoveries =
+    config.admm.robustness.enabled = true;
+    config.admm.robustness.max_recoveries =
         static_cast<unsigned>(opts.get_int("max-recoveries", 3));
   }
 
@@ -495,7 +492,7 @@ int cmd_cpd(const Options& opts) {
   std::ostringstream iter_json;
   bool first_snapshot = true;
   if (progress || metrics_path) {
-    cpd_opts.on_iteration = [&](const obs::MetricsSnapshot& s) {
+    config.on_iteration = [&](const obs::MetricsSnapshot& s) {
       if (progress) {
         double mttkrp = 0;
         for (const double sec : s.mode_mttkrp_seconds) {
@@ -539,7 +536,6 @@ int cmd_cpd(const Options& opts) {
     }
   };
 
-  CpdConfig config(cpd_opts);
   config.with_constraints(ModeConstraints::broadcast(constraint));
   config.with_loss(loss);
   if (sharded) {
@@ -607,8 +603,8 @@ int cmd_cpd(const Options& opts) {
     r = resume_path ? solver.resume(*resume_path) : solver.solve();
   }
 
-  std::printf("\nvariant         : %s / %s leaf\n", to_string(cpd_opts.variant),
-              to_string(cpd_opts.leaf_format));
+  std::printf("\nvariant         : %s / %s leaf\n", to_string(config.variant),
+              to_string(config.leaf_format));
   std::printf("mttkrp          : kernel %s / schedule %s%s\n",
               to_string(kernel), to_string(schedule),
               csf && csf->tiled() ? " / tiled" : "");
@@ -757,14 +753,11 @@ int cmd_stream_replay(const Options& opts, const std::string& input) {
   cfg.fault.supervisor.refresh_deadline_seconds =
       opts.get_double("refresh-deadline", 0.0);
 
-  CpdOptions cpd_opts;
-  cpd_opts.rank = static_cast<rank_t>(opts.get_int("rank", 16));
-  cpd_opts.max_outer_iterations =
-      static_cast<unsigned>(opts.get_int("max-outer", 50));
-  cpd_opts.tolerance = static_cast<real_t>(opts.get_double("tol", 1e-5));
-  cpd_opts.seed = static_cast<std::uint64_t>(opts.get_int("seed", 123));
-  cfg.cpd = CpdConfig(cpd_opts);
-  cfg.cpd.with_constraints(ModeConstraints::broadcast(parse_cli_constraint(opts)));
+  cfg.cpd.with_rank(static_cast<rank_t>(opts.get_int("rank", 16)))
+      .with_max_outer(static_cast<unsigned>(opts.get_int("max-outer", 50)))
+      .with_tolerance(static_cast<real_t>(opts.get_double("tol", 1e-5)))
+      .with_seed(static_cast<std::uint64_t>(opts.get_int("seed", 123)))
+      .with_constraints(ModeConstraints::broadcast(parse_cli_constraint(opts)));
 
   std::printf("replaying %llu events in up to %zu batches (time mode %zu%s, "
               "%zu queries/refresh)...\n",

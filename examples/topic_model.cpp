@@ -20,10 +20,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
-#include "core/cpd.hpp"
 #include "core/kruskal.hpp"
+#include "core/solver.hpp"
 #include "tensor/coo.hpp"
 #include "util/options.hpp"
 #include "util/rng.hpp"
@@ -103,11 +104,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(corpus.counts.nnz()));
 
   const CsfSet csf(corpus.counts);
-  CpdOptions cpd_opts;
-  cpd_opts.rank = static_cast<rank_t>(topics);
-  cpd_opts.max_outer_iterations = 60;
-  cpd_opts.tolerance = 1e-5;
-
   // Per-mode constraints: docs nonneg, words sparse nonneg, epochs simplex.
   std::vector<ConstraintSpec> constraints(3);
   constraints[0].kind = ConstraintKind::kNonNegative;
@@ -115,7 +111,13 @@ int main(int argc, char** argv) {
   constraints[1].lambda = 0.02;
   constraints[2].kind = ConstraintKind::kSimplex;
 
-  const CpdResult r = cpd_aoadmm(csf, cpd_opts, constraints);
+  CpdConfig cfg;
+  cfg.with_rank(static_cast<rank_t>(topics))
+      .with_max_outer(60)
+      .with_tolerance(1e-5)
+      .with_constraints(ModeConstraints::per_mode(std::move(constraints)));
+  CpdSolver solver(csf, cfg);
+  const CpdResult r = solver.solve();
   std::printf("factorized in %u outer iterations, relative error %.4f\n\n",
               r.outer_iterations, static_cast<double>(r.relative_error));
 

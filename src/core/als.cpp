@@ -1,9 +1,8 @@
 #include <limits>
 
-#include "core/config.hpp"
-#include "core/cpd.hpp"
 #include "core/cpd_impl.hpp"
 #include "core/outer_loop.hpp"
+#include "core/solver.hpp"
 #include "la/cholesky.hpp"
 #include "obs/profile.hpp"
 #include "util/error.hpp"
@@ -78,22 +77,23 @@ class AlsStep final : public detail::LocalStep {
 
 }  // namespace
 
-CpdResult cpd_als(const CsfSet& csf, const CpdOptions& opts, real_t ridge) {
+CpdResult cpd_als(const CsfSet& csf, const CpdConfig& config, real_t ridge) {
   AOADMM_PROFILE_SCOPE("cpd/als");
   const std::size_t order = csf.order();
   AOADMM_CHECK(order >= 2);
   AOADMM_CHECK(ridge >= 0);
   // ALS always reads dense leaf factors.
+  CpdConfig als_config = config;
+  als_config.leaf_format = LeafFormat::kDense;
+  detail::check_frobenius_config(als_config, order, "cpd_als");
   const MttkrpKernel kernel = detail::resolve_kernel(
-      csf, opts.mttkrp_kernel, LeafFormat::kDense, opts.rank);
+      csf, als_config.mttkrp_kernel, LeafFormat::kDense, als_config.rank);
 
   static const detail::LoopMetrics metrics =
       detail::LoopMetrics::family("als");
-  CpdConfig config(opts);
-  config.leaf_format = LeafFormat::kDense;
   detail::SolverState state(order);
-  AlsStep step(csf, config, kernel, ridge, state);
-  return detail::OuterLoop(config, metrics)
+  AlsStep step(csf, als_config, kernel, ridge, state);
+  return detail::OuterLoop(als_config, metrics)
       .run(step, 1, std::numeric_limits<double>::infinity(), CpdResult{});
 }
 

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 
 #include "testing/fault_injection.hpp"
@@ -54,16 +55,40 @@ class Writer {
   std::uint64_t hash_ = kFnvOffset;
 };
 
+/// Bytes from the read position to the end of `in`; the maximum when the
+/// stream cannot seek (then only the overflow checks bound a length field).
+std::uint64_t bytes_left(std::istream& in) {
+  const std::streampos here = in.tellg();
+  if (here < 0) {
+    return std::numeric_limits<std::uint64_t>::max();
+  }
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.seekg(here);
+  return end > here ? static_cast<std::uint64_t>(end - here) : 0;
+}
+
 class Reader {
  public:
-  explicit Reader(std::istream& in) : in_(in) {}
+  explicit Reader(std::istream& in) : in_(in), left_(bytes_left(in)) {}
 
   void bytes(void* data, std::size_t n) {
     in_.read(static_cast<char*>(data), static_cast<std::streamsize>(n));
     if (static_cast<std::size_t>(in_.gcount()) != n) {
       throw ParseError("checkpoint: truncated file");
     }
+    left_ -= n;
     fnv1a(hash_, data, n);
+  }
+  /// Throws ParseError unless `count` items of `size` bytes fit in what is
+  /// left of the stream, so a corrupt length field never reaches an
+  /// allocation.
+  void check_fits(std::uint64_t count, std::uint64_t size, const char* what) {
+    std::uint64_t total = 0;
+    if (__builtin_mul_overflow(count, size, &total) || total > left_) {
+      throw ParseError(std::string(what) + " needs more bytes than the " +
+                       std::to_string(left_) + " left (corrupt file?)");
+    }
   }
   template <typename T>
   void pod(T& v) {
@@ -78,10 +103,11 @@ class Reader {
   Matrix matrix() {
     const std::uint64_t rows = u64();
     const std::uint64_t cols = u64();
-    // 1 TiB guard: a corrupt size field must not turn into a giant alloc.
-    if (rows * cols > (std::uint64_t{1} << 37)) {
-      throw ParseError("checkpoint: implausible matrix size (corrupt file?)");
+    std::uint64_t entries = 0;
+    if (__builtin_mul_overflow(rows, cols, &entries)) {
+      throw ParseError("checkpoint: matrix size overflows (corrupt file?)");
     }
+    check_fits(entries, sizeof(real_t), "checkpoint: matrix");
     Matrix a(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
     bytes(a.data(), a.size() * sizeof(real_t));
     return a;
@@ -91,6 +117,7 @@ class Reader {
 
  private:
   std::istream& in_;
+  std::uint64_t left_;
   std::uint64_t hash_ = kFnvOffset;
 };
 
@@ -303,15 +330,18 @@ KruskalTensor read_kruskal(std::istream& in) {
   }
   rank_t rank = 0;
   r.pod(rank);
+  // The rank sizes the lambda weights that close the file.
+  r.check_fits(rank, sizeof(real_t), "kruskal: lambda");
   std::vector<Matrix> factors;
   factors.reserve(order);
   for (std::uint64_t i = 0; i < order; ++i) {
     factors.push_back(r.matrix());
+    if (rank == 0 || factors.back().cols() != rank) {
+      throw ParseError("kruskal: rank field is 0 or disagrees with factor "
+                       "shape");
+    }
   }
   KruskalTensor k(std::move(factors));
-  if (k.rank() != rank) {
-    throw ParseError("kruskal: rank field disagrees with factor shape");
-  }
   std::vector<real_t> lambda(rank);
   for (real_t& l : lambda) {
     r.pod(l);

@@ -18,21 +18,6 @@ ModeConstraints ModeConstraints::per_mode(std::vector<ConstraintSpec> specs) {
   return c;
 }
 
-ModeConstraints ModeConstraints::from_legacy(cspan<const ConstraintSpec> specs,
-                                             std::size_t order) {
-  if (specs.size() == 1) {
-    return broadcast(specs[0]);
-  }
-  if (order > 0 && specs.size() != order) {
-    std::ostringstream os;
-    os << "constraints: got " << specs.size() << " specs for an order-"
-       << order << " tensor; give 1 (broadcast to all modes) or exactly "
-       << order << " (one per mode)";
-    throw InvalidArgument(os.str());
-  }
-  return per_mode(std::vector<ConstraintSpec>(specs.begin(), specs.end()));
-}
-
 void ModeConstraints::check_order(std::size_t order) const {
   if (!broadcasts() && specs_.size() != order) {
     std::ostringstream os;
@@ -127,40 +112,6 @@ bool induces_factor_sparsity(ConstraintKind kind) {
 }
 
 }  // namespace
-
-CpdConfig::CpdConfig(const CpdOptions& opts) {
-  rank = opts.rank;
-  max_outer_iterations = opts.max_outer_iterations;
-  tolerance = opts.tolerance;
-  admm = opts.admm;
-  variant = opts.variant;
-  leaf_format = opts.leaf_format;
-  mttkrp_kernel = opts.mttkrp_kernel;
-  mttkrp_schedule = opts.mttkrp_schedule;
-  mttkrp_tile_rows = opts.mttkrp_tile_rows;
-  sparsity_threshold = opts.sparsity_threshold;
-  seed = opts.seed;
-  record_trace = opts.record_trace;
-  on_iteration = opts.on_iteration;
-}
-
-CpdOptions CpdConfig::legacy_options() const {
-  CpdOptions opts;
-  opts.rank = rank;
-  opts.max_outer_iterations = max_outer_iterations;
-  opts.tolerance = tolerance;
-  opts.admm = admm;
-  opts.variant = variant;
-  opts.leaf_format = leaf_format;
-  opts.mttkrp_kernel = mttkrp_kernel;
-  opts.mttkrp_schedule = mttkrp_schedule;
-  opts.mttkrp_tile_rows = mttkrp_tile_rows;
-  opts.sparsity_threshold = sparsity_threshold;
-  opts.seed = seed;
-  opts.record_trace = record_trace;
-  opts.on_iteration = on_iteration;
-  return opts;
-}
 
 ValidationReport CpdConfig::validate(std::size_t order) const {
   using Severity = ValidationIssue::Severity;
@@ -285,14 +236,13 @@ ValidationReport CpdConfig::validate(std::size_t order) const {
             " takes the generalized per-row split solve, which walks the CSF "
             "tree directly and supports only leaf_format=dense");
   }
-  if (generalized_loss &&
-      (mttkrp_kernel == MttkrpKernel::kTiled || mttkrp_tile_rows > 0)) {
+  if (generalized_loss && mttkrp_kernel == MttkrpKernel::kTiled) {
     add(Severity::kError, "loss",
         std::string("loss ") + to_cli_string(loss) +
             " takes the generalized per-row split solve and is incompatible "
             "with the tiled MTTKRP kernel (tiles split a root's non-zeros "
             "across buckets, so per-row systems cannot be assembled); unset "
-            "mttkrp_kernel=tiled and mttkrp_tile_rows");
+            "mttkrp_kernel=tiled");
   }
   if (generalized_loss && (mttkrp_kernel == MttkrpKernel::kDimTree ||
                            mttkrp_kernel == MttkrpKernel::kAlto)) {
@@ -348,31 +298,13 @@ ValidationReport CpdConfig::validate(std::size_t order) const {
   }
 
   // MTTKRP driver knobs. The tiled kernel only exists for the dense leaf
-  // path (tiles re-bucket the raw non-zeros, not a compressed leaf factor),
-  // and tiling only happens when the CsfSet was built with tile_rows > 0.
+  // path (tiles re-bucket the raw non-zeros, not a compressed leaf factor).
   if (mttkrp_kernel == MttkrpKernel::kTiled &&
       leaf_format != LeafFormat::kDense) {
     add(Severity::kError, "mttkrp_kernel",
         std::string("the tiled MTTKRP kernel supports only the DENSE leaf "
                     "format, but leaf_format is ") +
             to_string(leaf_format));
-  }
-  if (mttkrp_tile_rows > 0 &&
-      mttkrp_kernel != MttkrpKernel::kTiled &&
-      mttkrp_kernel != MttkrpKernel::kAuto) {
-    add(Severity::kWarning, "mttkrp_tile_rows",
-        std::string("mttkrp_tile_rows is set but mttkrp_kernel=") +
-            to_string(mttkrp_kernel) +
-            " never runs the tiled kernel; the tiled compilation would be "
-            "built and ignored");
-  }
-  if (mttkrp_kernel == MttkrpKernel::kTiled &&
-      mttkrp_tile_rows == 0) {
-    add(Severity::kWarning, "mttkrp_kernel",
-        "mttkrp_kernel=tiled with mttkrp_tile_rows=0 degenerates to a "
-        "single tile per mode (correct, but pays the tiled bookkeeping for "
-        "no cache benefit); set mttkrp_tile_rows to the intended tile "
-        "height");
   }
   // The cached-intermediate kernels read the raw factors every refresh, so
   // a compressed leaf mirror can never be consulted: reject rather than
@@ -461,11 +393,6 @@ ValidationReport CpdConfig::validate(std::size_t order) const {
                       "mttkrp_kernel=") +
               to_string(mttkrp_kernel) + " cannot run per shard — use auto "
               "or onetree");
-    }
-    if (mttkrp_tile_rows > 0) {
-      add(Severity::kError, "mttkrp_tile_rows",
-          "cache tiling and shard tiles are different decompositions; "
-          "sharded solves do not support mttkrp_tile_rows");
     }
   }
 

@@ -9,13 +9,12 @@
 //    constraints, checkpoint policy — behind chainable with_* setters and
 //    a validate() that returns structured diagnostics (field, severity,
 //    actionable message) rather than asserting; callers like tensor_tool
-//    print them as CLI errors. The legacy CpdOptions struct survives only
-//    as the parameter type of the deprecated cpd_aoadmm/cpd_als free
-//    functions and converts losslessly via CpdConfig(const CpdOptions&);
-//    see docs/api.md for the deprecation path.
+//    print them as CLI errors. CpdSolver, ShardedCpdSolver, cpd_als and
+//    coupled_factorize all take it.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -42,12 +41,6 @@ class ModeConstraints {
 
   /// One spec per mode, in mode order. Throws InvalidArgument when empty.
   static ModeConstraints per_mode(std::vector<ConstraintSpec> specs);
-
-  /// Adapter for the legacy span convention (1 entry = broadcast, else one
-  /// per mode of an order-`order` tensor). Throws InvalidArgument with an
-  /// explicit count/order message on any other size.
-  static ModeConstraints from_legacy(cspan<const ConstraintSpec> specs,
-                                     std::size_t order);
 
   bool broadcasts() const noexcept { return specs_.size() == 1; }
   std::size_t size() const noexcept { return specs_.size(); }
@@ -132,15 +125,15 @@ struct CpdConfig {
   AdmmVariant variant = AdmmVariant::kBlocked;
   /// Leaf-factor storage during MTTKRP (Table II: DENSE / CSR / CSR-H).
   LeafFormat leaf_format = LeafFormat::kDense;
+  /// MTTKRP driver; kAuto follows the CsfSet (a tiled set runs kTiled).
   MttkrpKernel mttkrp_kernel = MttkrpKernel::kAuto;
   MttkrpSchedule mttkrp_schedule = MttkrpSchedule::kAuto;
-  index_t mttkrp_tile_rows = 0;
   /// Exploit factor sparsity only below this density (paper: 20%).
   real_t sparsity_threshold = 0.20;
   std::uint64_t seed = 123;
   bool record_trace = true;
   /// Invoked at the end of every outer iteration with that iteration's
-  /// metrics (see obs/snapshot.hpp and CpdOptions::on_iteration).
+  /// metrics (obs/snapshot.hpp); empty skips the snapshot assembly.
   std::function<void(const obs::MetricsSnapshot&)> on_iteration;
   /// Data-fidelity loss (core/loss.hpp). The default — unmasked Frobenius
   /// — runs the normal-equations fast path; everything else takes the
@@ -158,14 +151,6 @@ struct CpdConfig {
   CancelTokenPtr cancel;
   /// Grid decomposition + out-of-core spill (dist/sharded_solver.hpp).
   ShardOptions shards;
-
-  CpdConfig() = default;
-  /// Compatibility shim for the legacy CpdOptions entry points
-  /// (cpd_aoadmm/cpd_als): copies every overlapping field. Deprecated for
-  /// new code — construct a CpdConfig directly.
-  explicit CpdConfig(const CpdOptions& opts);
-  /// The reverse projection, for code still feeding CpdOptions consumers.
-  CpdOptions legacy_options() const;
 
   CpdConfig& with_rank(rank_t r) { rank = r; return *this; }
   CpdConfig& with_max_outer(unsigned n) {
@@ -188,10 +173,6 @@ struct CpdConfig {
   }
   CpdConfig& with_mttkrp_schedule(MttkrpSchedule s) {
     mttkrp_schedule = s;
-    return *this;
-  }
-  CpdConfig& with_mttkrp_tile_rows(index_t rows) {
-    mttkrp_tile_rows = rows;
     return *this;
   }
   CpdConfig& with_sparsity_threshold(real_t t) {

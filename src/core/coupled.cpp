@@ -164,22 +164,7 @@ CoupledResult coupled_factorize(const CsfSet& csf, const CpdConfig& config,
   const auto& dims = csf.dims();
   AOADMM_CHECK(order >= 2);
 
-  const ValidationReport report = config.validate(order);
-  if (!report.ok()) {
-    throw InvalidArgument("invalid CpdConfig:\n" + report.to_string());
-  }
-  if (config.loss.kind != LossKind::kFrobenius || config.loss.masked) {
-    throw InvalidArgument(
-        "coupled_factorize: the coupling folds into the Frobenius normal "
-        "equations and supports only the default unmasked frobenius loss "
-        "(got " + to_cli_string(config.loss) + ")");
-  }
-  if (config.checkpoint_every > 0) {
-    throw InvalidArgument(
-        "coupled_factorize: checkpoints are not supported (the checkpoint "
-        "format holds no side factors and there is no resume entry point); "
-        "set checkpoint_every = 0");
-  }
+  detail::check_frobenius_config(config, order, "coupled_factorize");
   for (std::size_t c = 0; c < couplings.size(); ++c) {
     const CoupledMatrix& cm = couplings[c];
     if (cm.mode >= order) {

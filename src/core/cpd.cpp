@@ -1,8 +1,5 @@
 #include "core/cpd.hpp"
 
-#include "core/config.hpp"
-#include "core/solver.hpp"
-
 namespace aoadmm {
 
 const char* to_string(AdmmVariant v) noexcept {
@@ -27,15 +24,6 @@ const char* to_string(StopReason r) noexcept {
       return "deadline";
   }
   return "?";
-}
-
-CpdResult cpd_aoadmm(const CsfSet& csf, const CpdOptions& opts,
-                     cspan<const ConstraintSpec> constraints) {
-  CpdConfig config(opts);
-  config.with_constraints(
-      ModeConstraints::from_legacy(constraints, csf.order()));
-  CpdSolver solver(csf, std::move(config));
-  return solver.solve();
 }
 
 }  // namespace aoadmm

@@ -1,7 +1,7 @@
-// Options and result types for constrained CPD, plus the legacy free-
-// function entry points. The primary API is the CpdSolver session
-// (core/solver.hpp), which validates its configuration up front and reuses
-// all solver state across repeated solves:
+// Result types for constrained CPD. Runs are configured by a CpdConfig
+// (core/config.hpp) and driven by the CpdSolver session (core/solver.hpp),
+// which validates its configuration up front and reuses all solver state
+// across repeated solves:
 //
 //   CooTensor x = read_tns_file("data.tns");
 //   CsfSet csf(x);
@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/admm.hpp"
@@ -50,40 +49,6 @@ enum class StopReason {
 };
 
 const char* to_string(StopReason r) noexcept;
-
-struct CpdOptions {
-  rank_t rank = 16;
-  unsigned max_outer_iterations = 200;
-  /// Stop when the relative error improves by less than this (paper: 1e-6).
-  real_t tolerance = 1e-6;
-  AdmmOptions admm;
-  AdmmVariant variant = AdmmVariant::kBlocked;
-  /// Leaf-factor storage during MTTKRP (Table II: DENSE / CSR / CSR-H).
-  LeafFormat leaf_format = LeafFormat::kDense;
-  /// Which MTTKRP driver the solver runs (kAuto follows the CsfSet: tiled
-  /// compilations run kTiled, otherwise the strategy's ALLMODE/ONEMODE
-  /// kernels).
-  MttkrpKernel mttkrp_kernel = MttkrpKernel::kAuto;
-  /// Scatter/scheduling policy inside the MTTKRP kernels (see
-  /// mttkrp/mttkrp.hpp; kDynamic is the legacy atomic ablation baseline).
-  MttkrpSchedule mttkrp_schedule = MttkrpSchedule::kAuto;
-  /// Leaf-mode tile height intended for the CsfSet compilation (0 = no
-  /// tiling). The tiling itself happens when the CsfSet is built — this
-  /// field exists so validate() can cross-check it against mttkrp_kernel
-  /// and leaf_format, and so drivers like tensor_tool have one place to
-  /// read it from.
-  index_t mttkrp_tile_rows = 0;
-  /// Exploit factor sparsity only below this density (paper: 20%).
-  real_t sparsity_threshold = 0.20;
-  std::uint64_t seed = 123;
-  bool record_trace = true;
-  /// Invoked at the end of every outer iteration with that iteration's
-  /// metrics (relative error, per-mode MTTKRP seconds, ADMM residuals,
-  /// thread imbalance, ... — see obs/snapshot.hpp). Called exactly
-  /// `outer_iterations` times. Leave empty to skip snapshot assembly (the
-  /// per-iteration factor-density measurement is only done when set).
-  std::function<void(const obs::MetricsSnapshot&)> on_iteration;
-};
 
 /// Wall-clock decomposition of a factorization (paper Fig. 3).
 struct KernelBreakdown {
@@ -136,21 +101,5 @@ struct CpdResult {
   /// RobustnessOptions::enabled and something actually went wrong).
   RecoveryReport recovery;
 };
-
-/// Constrained CPD via AO-ADMM. `constraints` has either one entry
-/// (broadcast to all modes) or one per mode.
-///
-/// Deprecated shim over a throwaway CpdSolver session: prefer CpdSolver
-/// (core/solver.hpp) with an explicit ModeConstraints, which validates the
-/// configuration up front and reuses state across repeated solves.
-CpdResult cpd_aoadmm(const CsfSet& csf, const CpdOptions& opts,
-                     cspan<const ConstraintSpec> constraints);
-
-/// Unconstrained (or ridge-regularized) CPD via ALS — the classical
-/// baseline AO-ADMM generalizes (§II.C: "when no constraints are enforced,
-/// AO becomes ALS"): the shared outer loop with a least-squares update.
-/// Of the ADMM, variant and leaf options only admm.robustness is read.
-CpdResult cpd_als(const CsfSet& csf, const CpdOptions& opts,
-                  real_t ridge = 0);
 
 }  // namespace aoadmm

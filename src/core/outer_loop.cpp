@@ -460,5 +460,25 @@ MttkrpKernel resolve_kernel(const CsfSet& csf, MttkrpKernel kernel,
                              csf.dims(), csf.nnz(), rank);
 }
 
+void check_frobenius_config(const CpdConfig& config, std::size_t order,
+                            const char* driver) {
+  const ValidationReport report = config.validate(order);
+  if (!report.ok()) {
+    throw InvalidArgument("invalid CpdConfig:\n" + report.to_string());
+  }
+  if (config.loss.kind != LossKind::kFrobenius || config.loss.masked) {
+    throw InvalidArgument(std::string(driver) +
+                          ": the update solves the Frobenius normal "
+                          "equations and supports only the default unmasked "
+                          "frobenius loss (got " +
+                          to_cli_string(config.loss) + ")");
+  }
+  if (config.checkpoint_every > 0) {
+    throw InvalidArgument(std::string(driver) +
+                          ": checkpoints are not supported (there is no "
+                          "resume entry point); set checkpoint_every = 0");
+  }
+}
+
 }  // namespace detail
 }  // namespace aoadmm

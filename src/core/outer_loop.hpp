@@ -223,5 +223,12 @@ CpdResult resume_into(CpdCheckpoint& ck, cspan<index_t> dims, rank_t rank,
 MttkrpKernel resolve_kernel(const CsfSet& csf, MttkrpKernel requested,
                             LeafFormat leaf_format, rank_t rank);
 
+/// The configuration checks of a driver that solves the Frobenius normal
+/// equations and cannot resume (cpd_als, coupled_factorize): throws
+/// InvalidArgument on any validate() error, on a loss other than unmasked
+/// Frobenius and on checkpoint_every > 0.
+void check_frobenius_config(const CpdConfig& config, std::size_t order,
+                            const char* driver);
+
 }  // namespace detail
 }  // namespace aoadmm

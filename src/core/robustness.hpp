@@ -30,8 +30,7 @@
 namespace aoadmm {
 
 /// Gate + tuning knobs for the numerical guard rails. Carried on
-/// AdmmOptions (and therefore CpdOptions/CpdConfig); see
-/// CpdConfig::with_robustness().
+/// AdmmOptions (and therefore CpdConfig); see CpdConfig::with_robustness().
 struct RobustnessOptions {
   /// Master switch. Off means every guard rail is bypassed and numerical
   /// failures throw exactly as they always did.

@@ -23,8 +23,7 @@
 // the convergence trace from a checkpoint file and continues the run
 // bitwise-identically (same variant/thread configuration assumed).
 //
-// The free function cpd_aoadmm() remains as a thin shim over a throwaway
-// session; cpd_als() runs the same outer loop with a least-squares step.
+// cpd_als() runs the same outer loop with a least-squares step.
 #pragma once
 
 #include <memory>
@@ -94,5 +93,14 @@ class CpdSolver {
   /// construction for the session's lifetime.
   MttkrpKernel resolved_kernel_ = MttkrpKernel::kAuto;
 };
+
+/// Unconstrained (or ridge-regularized) CPD via ALS, the baseline AO-ADMM
+/// generalizes (§II.C: "when no constraints are enforced, AO becomes
+/// ALS"): the shared outer loop with a least-squares update. Throws like
+/// coupled_factorize (detail::check_frobenius_config). Constraints,
+/// variant, leaf format, sparsity threshold, shards and every ADMM option
+/// but robustness are ignored.
+CpdResult cpd_als(const CsfSet& csf, const CpdConfig& config,
+                  real_t ridge = 0);
 
 }  // namespace aoadmm

@@ -1,4 +1,4 @@
-// Per-outer-iteration metrics delivered to CpdOptions::on_iteration. One
+// Per-outer-iteration metrics delivered to CpdConfig::on_iteration. One
 // snapshot is produced at the end of every outer iteration, covering that
 // iteration (plus a few cumulative run totals, marked below).
 #pragma once

@@ -26,6 +26,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 #endif
 
@@ -361,6 +362,12 @@ void ExpositionServer::serve_loop() {
     if (client < 0) {
       continue;  // stop() closed the socket, or a transient accept error
     }
+    // One thread serves every client: a client that sends nothing (or stops
+    // reading) is dropped after a second, not waited on by later scrapes.
+    timeval timeout{};
+    timeout.tv_sec = 1;
+    ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    ::setsockopt(client, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
     // Read the request head (we only need the request line).
     char buf[2048];
     std::string req;

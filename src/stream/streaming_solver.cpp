@@ -1,7 +1,5 @@
 #include "stream/streaming_solver.hpp"
 
-#include <chrono>
-#include <thread>
 #include <utility>
 
 #include "core/solver.hpp"
@@ -106,15 +104,15 @@ RefreshReport StreamingSolver::refresh() {
 
   // Injected failure modes for the supervisor tests: a refresh that throws
   // (contained by RefreshSupervisor::try_refresh) and a refresh that hangs
-  // until its deadline token fires (capped at ~200ms so an unsupervised
-  // test cannot wedge).
+  // past its deadline, played by expiring an armed deadline on the spot so
+  // no test waits on the wall clock (with no deadline armed, it is a no-op).
   if (testing::maybe_throw_refresh()) {
     throw NumericalError("injected refresh failure (kRefreshThrow)");
   }
   if (testing::maybe_hang_refresh()) {
     const CancelTokenPtr& cancel = config_.cancel;
-    for (int i = 0; i < 40 && !(cancel && cancel->should_stop()); ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    if (cancel && cancel->has_deadline()) {
+      cancel->set_deadline_after(0);
     }
   }
 

@@ -40,7 +40,7 @@ enum class FaultSite {
   kWalWrite = 3,         ///< force a streaming WAL append to fail
   kIngestCorrupt = 4,    ///< poison an ingest batch with a NaN value
   kRefreshThrow = 5,     ///< make StreamingSolver::refresh throw
-  kRefreshHang = 6,      ///< stall a refresh until its deadline (or a cap)
+  kRefreshHang = 6,      ///< hang a refresh past its armed deadline
   kTelemetryWrite = 7    ///< fail an event-journal / telemetry-file write
 };
 inline constexpr std::size_t kFaultSiteCount = 8;
@@ -135,9 +135,9 @@ bool maybe_corrupt_ingest(CooTensor& batch);
 /// when the fault fired.
 bool maybe_throw_refresh();
 
-/// Maybe report that the current refresh must hang; the streaming solver
-/// stalls (checking its CancelToken) until the deadline fires or a safety
-/// cap elapses. Returns true when the fault fired.
+/// Maybe report that the current refresh must hang past its deadline; the
+/// streaming solver expires the armed deadline of its CancelToken at once
+/// rather than sleeping. Returns true when the fault fired.
 bool maybe_hang_refresh();
 
 /// Maybe report that the current telemetry write (event-journal line or

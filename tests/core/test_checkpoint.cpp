@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "testing/fault_injection.hpp"
 #include "testing/helpers.hpp"
@@ -37,6 +40,37 @@ CpdCheckpoint sample_checkpoint() {
   ck.trace.add(2, 0.02, 0.5);
   ck.trace.add(12, 0.13, 0.3716243614);
   return ck;
+}
+
+/// Overwrites the field at byte `offset` of a serialized checkpoint or
+/// Kruskal model and re-seals the FNV-1a trailer over the payload (the
+/// bytes between the 16-byte header and the 8-byte trailer), so the reader
+/// gets past its checksum and must judge the field itself.
+template <typename T>
+std::string with_field(std::string bytes, std::size_t offset, T value) {
+  std::memcpy(&bytes[offset], &value, sizeof(value));
+  std::uint64_t h = 14695981039346656037ULL;
+  for (std::size_t i = 16; i + 8 < bytes.size(); ++i) {
+    h ^= static_cast<unsigned char>(bytes[i]);
+    h *= 1099511628211ULL;
+  }
+  std::memcpy(&bytes[bytes.size() - 8], &h, sizeof(h));
+  return bytes;
+}
+
+/// A serialized checkpoint whose factors and duals are all 0 x 0, and the
+/// byte offset of its first factor's row count.
+std::pair<std::string, std::size_t> empty_factor_checkpoint() {
+  CpdCheckpoint ck = sample_checkpoint();
+  ck.factors.assign(3, Matrix());
+  ck.duals.assign(3, Matrix());
+  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+  write_checkpoint(ck, buf);
+  const std::size_t offset =
+      16 + 8 + ck.dims.size() * sizeof(index_t) + sizeof(ck.rank) + 8 +
+      sizeof(ck.rng_state) + sizeof(ck.outer_iteration) +
+      sizeof(ck.prev_error) + 4 * 8 + 8;
+  return {buf.str(), offset};
 }
 
 void expect_matrices_identical(const std::vector<Matrix>& a,
@@ -121,6 +155,33 @@ TEST(Checkpoint, RejectsCorruptPayloadViaChecksum) {
   EXPECT_THROW(read_checkpoint(corrupt), ParseError);
 }
 
+TEST(Checkpoint, MatrixSizeThatOverflowsThrowsParseError) {
+  // rows = cols = 2^32: the entry count wraps to 0 in 64 bits, which must
+  // not pass for an empty matrix of 2^32 x 2^32.
+  auto [bytes, offset] = empty_factor_checkpoint();
+  const std::uint64_t huge = std::uint64_t{1} << 32;
+  bytes = with_field(bytes, offset, huge);
+  bytes = with_field(bytes, offset + 8, huge);
+  std::stringstream in(bytes, std::ios::in | std::ios::binary);
+  EXPECT_THROW(read_checkpoint(in), ParseError);
+}
+
+TEST(Checkpoint, MatrixLargerThanTheFileThrowsParseError) {
+  // rows = cols = 2^18 is 512 GiB of entries in a file of a few hundred
+  // bytes: a ParseError before any allocation, read through a real file.
+  auto [bytes, offset] = empty_factor_checkpoint();
+  const std::uint64_t big = std::uint64_t{1} << 18;
+  bytes = with_field(bytes, offset, big);
+  bytes = with_field(bytes, offset + 8, big);
+  const std::string path = ::testing::TempDir() + "aoadmm_ckpt_huge.ckpt";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << bytes;
+  }
+  EXPECT_THROW(read_checkpoint_file(path), ParseError);
+  std::remove(path.c_str());
+}
+
 TEST(Checkpoint, InjectedWriteFailureThrowsAndPreservesPrevious) {
   const std::string path = ::testing::TempDir() + "aoadmm_ckpt_fault.ckpt";
   CpdCheckpoint ck = sample_checkpoint();
@@ -201,6 +262,34 @@ TEST(KruskalSerialization, FileRoundTripIsExact) {
   EXPECT_EQ(back.rank(), k.rank());
   expect_matrices_identical(back.factors(), k.factors());
   std::remove(path.c_str());
+}
+
+/// A serialized rank-1 Kruskal model with two 0 x 1 factors. Its rank
+/// field sits at byte 24 and its factors' (rows, cols) pairs at 28 and 44.
+std::string empty_factor_kruskal() {
+  const KruskalTensor k({Matrix(0, 1), Matrix(0, 1)});
+  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+  write_kruskal(k, buf);
+  return buf.str();
+}
+
+TEST(KruskalSerialization, MatrixSizeThatOverflowsThrowsParseError) {
+  const std::uint64_t huge = std::uint64_t{1} << 32;
+  std::string bytes = with_field(empty_factor_kruskal(), 28, huge);
+  bytes = with_field(bytes, 36, huge);
+  std::stringstream in(bytes, std::ios::in | std::ios::binary);
+  EXPECT_THROW(read_kruskal(in), ParseError);
+}
+
+TEST(KruskalSerialization, RankBeyondTheBytesPresentThrowsParseError) {
+  // Zero-row factors of 2^32 - 1 columns carry no entries, but the rank
+  // also sizes the lambda weights: 32 GiB that the file does not hold.
+  const rank_t rank = 0xFFFFFFFFu;
+  std::string bytes = with_field(empty_factor_kruskal(), 24, rank);
+  bytes = with_field(bytes, 36, std::uint64_t{rank});
+  bytes = with_field(bytes, 52, std::uint64_t{rank});
+  std::stringstream in(bytes, std::ios::in | std::ios::binary);
+  EXPECT_THROW(read_kruskal(in), ParseError);
 }
 
 TEST(KruskalSerialization, RejectsCheckpointFile) {

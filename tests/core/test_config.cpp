@@ -57,21 +57,6 @@ TEST(ModeConstraints, CheckOrderRejectsMismatchedCount) {
   EXPECT_THROW(c.check_order(2), InvalidArgument);
 }
 
-TEST(ModeConstraints, FromLegacyBroadcastsSingleSpec) {
-  ConstraintSpec spec;
-  spec.kind = ConstraintKind::kRidge;
-  spec.lambda = 0.1;
-  const ModeConstraints c = ModeConstraints::from_legacy({&spec, 1}, 4);
-  EXPECT_TRUE(c.broadcasts());
-  EXPECT_EQ(c.for_mode(3).kind, ConstraintKind::kRidge);
-}
-
-TEST(ModeConstraints, FromLegacyRejectsMismatchedCount) {
-  const std::vector<ConstraintSpec> two(2);
-  EXPECT_THROW(ModeConstraints::from_legacy({two.data(), two.size()}, 3),
-               InvalidArgument);
-}
-
 TEST(CpdConfigValidate, DefaultConfigIsClean) {
   const ValidationReport report = CpdConfig().validate(3);
   EXPECT_TRUE(report.ok());

@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "core/cpd.hpp"
+#include "core/solver.hpp"
 #include "testing/helpers.hpp"
 #include "util/error.hpp"
 
@@ -62,15 +62,13 @@ TEST(Corcondia, OverfactoredModelScoresLow) {
   // Fit rank 6 to rank-3 data: extra components break core consistency.
   const Planted p = planted_tensor(73);
   const CsfSet csf(p.x);
-  CpdOptions opts;
-  opts.rank = 6;
-  opts.max_outer_iterations = 80;
-  opts.tolerance = 1e-8;
-  const ConstraintSpec none{ConstraintKind::kNone};
-  const CpdResult over = cpd_aoadmm(csf, opts, {&none, 1});
+  CpdConfig cfg;
+  cfg.with_rank(6).with_max_outer(80).with_tolerance(1e-8).with_constraints(
+      ModeConstraints::broadcast({ConstraintKind::kNone}));
+  const CpdResult over = CpdSolver(csf, cfg).solve();
 
-  opts.rank = 3;
-  const CpdResult right = cpd_aoadmm(csf, opts, {&none, 1});
+  cfg.with_rank(3);
+  const CpdResult right = CpdSolver(csf, cfg).solve();
 
   const real_t score_right = corcondia(p.x, right.factors);
   const real_t score_over = corcondia(p.x, over.factors);

@@ -1,4 +1,4 @@
-#include "core/cpd.hpp"
+#include "core/solver.hpp"
 
 #include <gtest/gtest.h>
 
@@ -25,15 +25,18 @@ CooTensor lowrank_tensor(std::uint64_t seed = 5, real_t factor_zero = 0.0) {
   return make_synthetic(spec);
 }
 
-CpdOptions quick_options() {
-  CpdOptions o;
-  o.rank = 6;
-  o.max_outer_iterations = 40;
-  o.tolerance = 1e-6;
-  o.admm.max_iterations = 25;
-  o.admm.tolerance = 1e-2;
-  o.admm.block_size = 16;
-  return o;
+/// Non-negative CPD settings the tests start from.
+CpdConfig quick_config() {
+  CpdConfig c;
+  c.rank = 6;
+  c.max_outer_iterations = 40;
+  c.tolerance = 1e-6;
+  c.admm.max_iterations = 25;
+  c.admm.tolerance = 1e-2;
+  c.admm.block_size = 16;
+  c.with_constraints(
+      ModeConstraints::broadcast({ConstraintKind::kNonNegative}));
+  return c;
 }
 
 TEST(Cpd, NonNegativeFactorizationFitsDenseLowRankData) {
@@ -43,10 +46,9 @@ TEST(Cpd, NonNegativeFactorizationFitsDenseLowRankData) {
   // real datasets converge to 0.54–0.89).
   const CooTensor x = testing::dense_lowrank_tensor({14, 11, 9}, 3, 0.02);
   const CsfSet csf(x);
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  CpdOptions opts = quick_options();
+  CpdConfig opts = quick_config();
   opts.max_outer_iterations = 80;
-  const CpdResult r = cpd_aoadmm(csf, opts, {&nonneg, 1});
+  const CpdResult r = CpdSolver(csf, opts).solve();
   EXPECT_LT(r.relative_error, 0.1);
   EXPECT_GT(r.outer_iterations, 1u);
 }
@@ -57,8 +59,7 @@ TEST(Cpd, NonNegativeFactorizationImprovesOnSparseData) {
   // initialization.
   const CooTensor x = lowrank_tensor();
   const CsfSet csf(x);
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  const CpdResult r = cpd_aoadmm(csf, quick_options(), {&nonneg, 1});
+  const CpdResult r = CpdSolver(csf, quick_config()).solve();
   ASSERT_FALSE(r.trace.empty());
   const real_t first = r.trace.points().front().relative_error;
   EXPECT_LT(r.relative_error, 1.0);
@@ -69,8 +70,7 @@ TEST(Cpd, NonNegativeFactorizationImprovesOnSparseData) {
 TEST(Cpd, FactorsSatisfyNonNegativity) {
   const CooTensor x = lowrank_tensor(6);
   const CsfSet csf(x);
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  const CpdResult r = cpd_aoadmm(csf, quick_options(), {&nonneg, 1});
+  const CpdResult r = CpdSolver(csf, quick_config()).solve();
   for (const Matrix& f : r.factors) {
     for (const real_t v : f.flat()) {
       EXPECT_GE(v, 0.0);
@@ -81,10 +81,9 @@ TEST(Cpd, FactorsSatisfyNonNegativity) {
 TEST(Cpd, ReportedErrorMatchesExactComputation) {
   const CooTensor x = lowrank_tensor(7);
   const CsfSet csf(x);
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  CpdOptions opts = quick_options();
+  CpdConfig opts = quick_config();
   opts.max_outer_iterations = 8;
-  const CpdResult r = cpd_aoadmm(csf, opts, {&nonneg, 1});
+  const CpdResult r = CpdSolver(csf, opts).solve();
   const real_t exact = relative_error(x, r.factors, x.norm_sq());
   EXPECT_NEAR(r.relative_error, exact, 1e-8);
 }
@@ -94,13 +93,12 @@ TEST(Cpd, ErrorIsNonIncreasingUnderBaseline) {
   // ADMM solves each subproblem to high accuracy.
   const CooTensor x = lowrank_tensor(8);
   const CsfSet csf(x);
-  CpdOptions opts = quick_options();
+  CpdConfig opts = quick_config();
   opts.variant = AdmmVariant::kBaseline;
   opts.admm.max_iterations = 100;
   opts.admm.tolerance = 1e-6;
   opts.max_outer_iterations = 15;
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  const CpdResult r = cpd_aoadmm(csf, opts, {&nonneg, 1});
+  const CpdResult r = CpdSolver(csf, opts).solve();
   const auto& pts = r.trace.points();
   ASSERT_GE(pts.size(), 3u);
   for (std::size_t i = 1; i < pts.size(); ++i) {
@@ -113,15 +111,14 @@ TEST(Cpd, ErrorIsNonIncreasingUnderBaseline) {
 TEST(Cpd, BlockedAndBaselineReachSimilarQuality) {
   const CooTensor x = lowrank_tensor(9);
   const CsfSet csf(x);
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
 
-  CpdOptions base = quick_options();
+  CpdConfig base = quick_config();
   base.variant = AdmmVariant::kBaseline;
-  const CpdResult rb = cpd_aoadmm(csf, base, {&nonneg, 1});
+  const CpdResult rb = CpdSolver(csf, base).solve();
 
-  CpdOptions blocked = quick_options();
+  CpdConfig blocked = quick_config();
   blocked.variant = AdmmVariant::kBlocked;
-  const CpdResult rk = cpd_aoadmm(csf, blocked, {&nonneg, 1});
+  const CpdResult rk = CpdSolver(csf, blocked).solve();
 
   EXPECT_NEAR(rb.relative_error, rk.relative_error, 0.05);
 }
@@ -129,11 +126,10 @@ TEST(Cpd, BlockedAndBaselineReachSimilarQuality) {
 TEST(Cpd, TraceRecordsEveryOuterIteration) {
   const CooTensor x = lowrank_tensor(10);
   const CsfSet csf(x);
-  CpdOptions opts = quick_options();
+  CpdConfig opts = quick_config();
   opts.max_outer_iterations = 5;
   opts.tolerance = 0;  // never converge early
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  const CpdResult r = cpd_aoadmm(csf, opts, {&nonneg, 1});
+  const CpdResult r = CpdSolver(csf, opts).solve();
   EXPECT_EQ(r.trace.size(), 5u);
   EXPECT_EQ(r.outer_iterations, 5u);
   EXPECT_FALSE(r.converged);
@@ -146,11 +142,10 @@ TEST(Cpd, TraceRecordsEveryOuterIteration) {
 TEST(Cpd, ConvergenceFlagSetOnPlateau) {
   const CooTensor x = lowrank_tensor(11);
   const CsfSet csf(x);
-  CpdOptions opts = quick_options();
+  CpdConfig opts = quick_config();
   opts.tolerance = 1e-3;  // loose: should plateau quickly
   opts.max_outer_iterations = 100;
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  const CpdResult r = cpd_aoadmm(csf, opts, {&nonneg, 1});
+  const CpdResult r = CpdSolver(csf, opts).solve();
   EXPECT_TRUE(r.converged);
   EXPECT_LT(r.outer_iterations, 100u);
 }
@@ -162,7 +157,9 @@ TEST(Cpd, PerModeConstraintsApply) {
   specs[0].kind = ConstraintKind::kNonNegative;
   specs[1].kind = ConstraintKind::kSimplex;
   specs[2].kind = ConstraintKind::kNone;
-  const CpdResult r = cpd_aoadmm(csf, quick_options(), specs);
+  CpdConfig cfg = quick_config();
+  cfg.with_constraints(ModeConstraints::per_mode(specs));
+  const CpdResult r = CpdSolver(csf, cfg).solve();
   // Mode 0: non-negative.
   for (const real_t v : r.factors[0].flat()) {
     EXPECT_GE(v, 0.0);
@@ -180,11 +177,12 @@ TEST(Cpd, PerModeConstraintsApply) {
 TEST(Cpd, L1RegularizationSparsifiesFactors) {
   const CooTensor x = lowrank_tensor(13, /*factor_zero=*/0.5);
   const CsfSet csf(x);
-  CpdOptions opts = quick_options();
+  CpdConfig opts = quick_config();
   opts.max_outer_iterations = 25;
   ConstraintSpec l1{ConstraintKind::kNonNegativeL1};
   l1.lambda = 0.1;  // the paper's Table II setting
-  const CpdResult r = cpd_aoadmm(csf, opts, {&l1, 1});
+  opts.with_constraints(ModeConstraints::broadcast(l1));
+  const CpdResult r = CpdSolver(csf, opts).solve();
   // At least one factor should show real sparsity.
   real_t min_density = 1;
   for (const real_t d : r.factor_density) {
@@ -199,15 +197,16 @@ TEST(Cpd, SparseLeafFormatsMatchDenseResult) {
   ConstraintSpec l1{ConstraintKind::kNonNegativeL1};
   l1.lambda = 0.1;
 
-  CpdOptions dense_opts = quick_options();
+  CpdConfig dense_opts = quick_config();
   dense_opts.max_outer_iterations = 12;
   dense_opts.tolerance = 0;
-  const CpdResult rd = cpd_aoadmm(csf, dense_opts, {&l1, 1});
+  dense_opts.with_constraints(ModeConstraints::broadcast(l1));
+  const CpdResult rd = CpdSolver(csf, dense_opts).solve();
 
   for (const LeafFormat fmt : {LeafFormat::kCsr, LeafFormat::kHybrid}) {
-    CpdOptions opts = dense_opts;
+    CpdConfig opts = dense_opts;
     opts.leaf_format = fmt;
-    const CpdResult rs = cpd_aoadmm(csf, opts, {&l1, 1});
+    const CpdResult rs = CpdSolver(csf, opts).solve();
     // Identical arithmetic path => identical trajectories (deterministic
     // seeds), regardless of the storage format.
     EXPECT_NEAR(rs.relative_error, rd.relative_error, 1e-8)
@@ -222,15 +221,16 @@ TEST(Cpd, AutoLeafFormatMatchesDenseTrajectory) {
   const CsfSet csf(x);
   ConstraintSpec l1{ConstraintKind::kNonNegativeL1};
   l1.lambda = 0.1;
-  CpdOptions dense_opts = quick_options();
+  CpdConfig dense_opts = quick_config();
   dense_opts.max_outer_iterations = 12;
   dense_opts.tolerance = 0;
-  const CpdResult rd = cpd_aoadmm(csf, dense_opts, {&l1, 1});
+  dense_opts.with_constraints(ModeConstraints::broadcast(l1));
+  const CpdResult rd = CpdSolver(csf, dense_opts).solve();
 
-  CpdOptions auto_opts = dense_opts;
+  CpdConfig auto_opts = dense_opts;
   auto_opts.leaf_format = LeafFormat::kAuto;
   auto_opts.sparsity_threshold = 0.95;
-  const CpdResult ra = cpd_aoadmm(csf, auto_opts, {&l1, 1});
+  const CpdResult ra = CpdSolver(csf, auto_opts).solve();
   EXPECT_NEAR(ra.relative_error, rd.relative_error, 1e-8);
   EXPECT_GT(ra.sparse_mttkrp_count, 0u);
 }
@@ -238,13 +238,14 @@ TEST(Cpd, AutoLeafFormatMatchesDenseTrajectory) {
 TEST(Cpd, SparseMttkrpCountedWhenFactorsSparse) {
   const CooTensor x = lowrank_tensor(15, /*factor_zero=*/0.6);
   const CsfSet csf(x);
-  CpdOptions opts = quick_options();
+  CpdConfig opts = quick_config();
   opts.leaf_format = LeafFormat::kCsr;
   opts.sparsity_threshold = 0.95;  // generous: trigger early
   opts.max_outer_iterations = 20;
   ConstraintSpec l1{ConstraintKind::kNonNegativeL1};
   l1.lambda = 0.15;
-  const CpdResult r = cpd_aoadmm(csf, opts, {&l1, 1});
+  opts.with_constraints(ModeConstraints::broadcast(l1));
+  const CpdResult r = CpdSolver(csf, opts).solve();
   EXPECT_GT(r.mttkrp_count, 0u);
   EXPECT_GT(r.sparse_mttkrp_count, 0u);
   EXPECT_LE(r.sparse_mttkrp_count, r.mttkrp_count);
@@ -253,10 +254,9 @@ TEST(Cpd, SparseMttkrpCountedWhenFactorsSparse) {
 TEST(Cpd, TimingBreakdownSumsToTotal) {
   const CooTensor x = lowrank_tensor(16);
   const CsfSet csf(x);
-  CpdOptions opts = quick_options();
+  CpdConfig opts = quick_config();
   opts.max_outer_iterations = 5;
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  const CpdResult r = cpd_aoadmm(csf, opts, {&nonneg, 1});
+  const CpdResult r = CpdSolver(csf, opts).solve();
   EXPECT_GT(r.times.total_seconds, 0.0);
   EXPECT_GE(r.times.mttkrp_seconds, 0.0);
   EXPECT_GE(r.times.admm_seconds, 0.0);
@@ -268,38 +268,38 @@ TEST(Cpd, TimingBreakdownSumsToTotal) {
 TEST(Cpd, DeterministicGivenSeed) {
   const CooTensor x = lowrank_tensor(17);
   const CsfSet csf(x);
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  CpdOptions opts = quick_options();
+  CpdConfig opts = quick_config();
   opts.max_outer_iterations = 6;
-  const CpdResult a = cpd_aoadmm(csf, opts, {&nonneg, 1});
-  const CpdResult b = cpd_aoadmm(csf, opts, {&nonneg, 1});
+  const CpdResult a = CpdSolver(csf, opts).solve();
+  const CpdResult b = CpdSolver(csf, opts).solve();
   EXPECT_DOUBLE_EQ(a.relative_error, b.relative_error);
 }
 
 TEST(Cpd, HigherRankFitsAtLeastAsWell) {
   const CooTensor x = lowrank_tensor(18);
   const CsfSet csf(x);
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  CpdOptions lo = quick_options();
+  CpdConfig lo = quick_config();
   lo.rank = 2;
-  CpdOptions hi = quick_options();
+  CpdConfig hi = quick_config();
   hi.rank = 8;
-  const CpdResult rlo = cpd_aoadmm(csf, lo, {&nonneg, 1});
-  const CpdResult rhi = cpd_aoadmm(csf, hi, {&nonneg, 1});
+  const CpdResult rlo = CpdSolver(csf, lo).solve();
+  const CpdResult rhi = CpdSolver(csf, hi).solve();
   EXPECT_LE(rhi.relative_error, rlo.relative_error + 0.02);
 }
 
 TEST(Cpd, RejectsBadConstraintCount) {
   const CooTensor x = lowrank_tensor(19);
   const CsfSet csf(x);
-  std::vector<ConstraintSpec> two(2);
-  EXPECT_THROW(cpd_aoadmm(csf, quick_options(), two), InvalidArgument);
+  CpdConfig cfg = quick_config();
+  cfg.with_constraints(
+      ModeConstraints::per_mode(std::vector<ConstraintSpec>(2)));
+  EXPECT_THROW(CpdSolver(csf, cfg), InvalidArgument);
 }
 
 TEST(CpdAls, UnconstrainedAlsFitsDenseLowRankData) {
   const CooTensor x = testing::dense_lowrank_tensor({13, 10, 8}, 3, 0.02, 20);
   const CsfSet csf(x);
-  CpdOptions opts = quick_options();
+  CpdConfig opts = quick_config();
   opts.max_outer_iterations = 80;
   const CpdResult r = cpd_als(csf, opts);
   EXPECT_LT(r.relative_error, 0.1);
@@ -310,26 +310,38 @@ TEST(CpdAls, MatchesAoadmmUnconstrainedQuality) {
   // quality must be comparable.
   const CooTensor x = lowrank_tensor(21);
   const CsfSet csf(x);
-  CpdOptions opts = quick_options();
+  CpdConfig opts = quick_config();
   opts.max_outer_iterations = 30;
   opts.admm.max_iterations = 60;
   opts.admm.tolerance = 1e-5;
   const CpdResult als = cpd_als(csf, opts);
-  const ConstraintSpec none{ConstraintKind::kNone};
-  const CpdResult admm = cpd_aoadmm(csf, opts, {&none, 1});
+  opts.with_constraints(ModeConstraints::broadcast({ConstraintKind::kNone}));
+  const CpdResult admm = CpdSolver(csf, opts).solve();
   EXPECT_NEAR(als.relative_error, admm.relative_error, 0.05);
 }
 
 TEST(CpdAls, ErrorMonotoneNonIncreasing) {
   const CooTensor x = lowrank_tensor(22);
   const CsfSet csf(x);
-  CpdOptions opts = quick_options();
+  CpdConfig opts = quick_config();
   opts.max_outer_iterations = 12;
   opts.tolerance = 0;
   const CpdResult r = cpd_als(csf, opts);
   const auto& pts = r.trace.points();
   for (std::size_t i = 1; i < pts.size(); ++i) {
     EXPECT_LE(pts[i].relative_error, pts[i - 1].relative_error + 1e-9);
+  }
+}
+
+TEST(CpdAls, RejectsLossesOtherThanFrobenius) {
+  // The least-squares update solves the Frobenius normal equations; any
+  // other loss, masked Frobenius included, is a different problem.
+  const CooTensor x = lowrank_tensor(23);
+  const CsfSet csf(x);
+  for (const char* loss : {"kl", "frobenius:masked"}) {
+    CpdConfig cfg = quick_config();
+    cfg.with_loss(parse_loss_spec(loss));
+    EXPECT_THROW(cpd_als(csf, cfg), InvalidArgument) << loss;
   }
 }
 
@@ -342,10 +354,9 @@ TEST(Cpd, FourModeTensorFactorizes) {
   spec.seed = 23;
   const CooTensor x = make_synthetic(spec);
   const CsfSet csf(x);
-  CpdOptions opts = quick_options();
+  CpdConfig opts = quick_config();
   opts.rank = 5;
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  const CpdResult r = cpd_aoadmm(csf, opts, {&nonneg, 1});
+  const CpdResult r = CpdSolver(csf, opts).solve();
   EXPECT_EQ(r.factors.size(), 4u);
   ASSERT_FALSE(r.trace.empty());
   EXPECT_LT(r.relative_error, r.trace.points().front().relative_error);
@@ -355,11 +366,10 @@ TEST(Cpd, FourModeTensorFactorizes) {
 TEST(Cpd, FourModeDenseLowRankFitsTightly) {
   const CooTensor x = testing::dense_lowrank_tensor({7, 6, 5, 6}, 2, 0.02);
   const CsfSet csf(x);
-  CpdOptions opts = quick_options();
+  CpdConfig opts = quick_config();
   opts.rank = 4;
   opts.max_outer_iterations = 80;
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  const CpdResult r = cpd_aoadmm(csf, opts, {&nonneg, 1});
+  const CpdResult r = CpdSolver(csf, opts).solve();
   EXPECT_LT(r.relative_error, 0.1);
 }
 
@@ -383,10 +393,11 @@ TEST_P(CpdConstraintSweep, FactorizationValidUnderEveryConstraint) {
   spec.lambda = 0.05;
   spec.lo = 0.0;
   spec.hi = 2.0;
-  CpdOptions opts = quick_options();
+  CpdConfig opts = quick_config();
   opts.variant = variant;
   opts.max_outer_iterations = 10;
-  const CpdResult r = cpd_aoadmm(csf, opts, {&spec, 1});
+  opts.with_constraints(ModeConstraints::broadcast(spec));
+  const CpdResult r = CpdSolver(csf, opts).solve();
 
   EXPECT_GE(r.relative_error, 0.0);
   EXPECT_LT(r.relative_error, 1.5);
@@ -446,10 +457,9 @@ TEST(Cpd, MatrixFactorizationWorks) {
   // "equally applicable to matrices").
   const CooTensor x = testing::random_coo({30, 25}, 300, 24);
   const CsfSet csf(x);
-  CpdOptions opts = quick_options();
+  CpdConfig opts = quick_config();
   opts.rank = 4;
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  const CpdResult r = cpd_aoadmm(csf, opts, {&nonneg, 1});
+  const CpdResult r = CpdSolver(csf, opts).solve();
   EXPECT_EQ(r.factors.size(), 2u);
   EXPECT_LT(r.relative_error, 1.0);
 }

@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "core/cpd.hpp"
+#include "core/solver.hpp"
 #include "tensor/synthetic.hpp"
 #include "tensor/transform.hpp"
 #include "testing/helpers.hpp"
@@ -82,11 +82,10 @@ TEST(Eval, HoldoutPipelinePredictsBetterThanZeroBaseline) {
   const TrainTestSplit split = split_train_test(x, 0.2, rng);
 
   const CsfSet csf(split.train);
-  CpdOptions opts;
-  opts.rank = 5;
-  opts.max_outer_iterations = 40;
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  const CpdResult r = cpd_aoadmm(csf, opts, {&nonneg, 1});
+  CpdConfig cfg;
+  cfg.with_rank(5).with_max_outer(40).with_constraints(
+      ModeConstraints::broadcast({ConstraintKind::kNonNegative}));
+  const CpdResult r = CpdSolver(csf, cfg).solve();
 
   const PredictionMetrics m = evaluate_predictions(split.test, r.factors);
   double value_rms = 0;

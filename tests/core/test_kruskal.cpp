@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "core/cpd.hpp"
+#include "core/solver.hpp"
 #include "la/blas.hpp"
 #include "tensor/matricize.hpp"
 #include "testing/helpers.hpp"
@@ -225,14 +225,12 @@ TEST(Fms, CpdRecoversPlantedComponents) {
   }
 
   const CsfSet csf(x);
-  CpdOptions opts;
-  opts.rank = 3;
-  opts.max_outer_iterations = 200;
-  opts.tolerance = 1e-9;
-  opts.admm.max_iterations = 50;
-  opts.admm.tolerance = 1e-6;
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  const CpdResult r = cpd_aoadmm(csf, opts, {&nonneg, 1});
+  CpdConfig cfg;
+  cfg.with_rank(3).with_max_outer(200).with_tolerance(1e-9).with_constraints(
+      ModeConstraints::broadcast({ConstraintKind::kNonNegative}));
+  cfg.admm.max_iterations = 50;
+  cfg.admm.tolerance = 1e-6;
+  const CpdResult r = CpdSolver(csf, cfg).solve();
 
   const KruskalTensor recovered(r.factors);
   const KruskalTensor planted(truth);

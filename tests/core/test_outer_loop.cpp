@@ -86,7 +86,7 @@ CpdResult run_driver(Driver d, const CpdConfig& cfg) {
     }
     case Driver::kAls: {
       const CsfSet csf(x);
-      return cpd_als(csf, cfg.legacy_options());
+      return cpd_als(csf, cfg);
     }
     case Driver::kCoupled: {
       const CsfSet csf(x);
@@ -118,9 +118,6 @@ TEST_P(OuterLoopContract, ConvergedIffStopReasonIsConverged) {
 }
 
 TEST_P(OuterLoopContract, PreCancelledTokenRunsNoIteration) {
-  if (GetParam() == Driver::kAls) {
-    GTEST_SKIP() << "cpd_als takes CpdOptions, which has no cancel token";
-  }
   CpdConfig cfg = contract_config(GetParam());
   cfg.cancel = make_cancel_token();
   cfg.cancel->cancel();
@@ -168,9 +165,6 @@ TEST_P(OuterLoopContract, SnapshotAdmmSecondsSumToTheRunTotal) {
 
 TEST_P(OuterLoopContract, CheckpointWritesAreJournaledAndFailuresCounted) {
   const Driver d = GetParam();
-  if (d == Driver::kAls) {
-    GTEST_SKIP() << "cpd_als takes CpdOptions, which has no checkpoint policy";
-  }
   const std::string tag = driver_name(d);
   const std::string ckpt =
       ::testing::TempDir() + "aoadmm_loop_" + tag + ".ckpt";
@@ -182,8 +176,9 @@ TEST_P(OuterLoopContract, CheckpointWritesAreJournaledAndFailuresCounted) {
   // Writes at outer 2 (faulted), 4 and 6; the tolerance never triggers.
   CpdConfig cfg = contract_config(d);
   cfg.with_max_outer(6).with_robustness().with_checkpoint(ckpt, 2);
-  if (d == Driver::kCoupled) {
-    // No resume entry point and no side factors in the file format.
+  if (d == Driver::kAls || d == Driver::kCoupled) {
+    // No resume entry point (and, coupled, no side factors in the file
+    // format).
     EXPECT_THROW(run_driver(d, cfg), InvalidArgument);
     return;
   }

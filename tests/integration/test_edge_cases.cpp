@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "core/cpd.hpp"
+#include "core/solver.hpp"
 #include "parallel/runtime.hpp"
 #include "tensor/matricize.hpp"
 #include "testing/helpers.hpp"
@@ -13,12 +13,15 @@
 namespace aoadmm {
 namespace {
 
-CpdOptions tiny_options(rank_t rank = 2) {
-  CpdOptions o;
-  o.rank = rank;
-  o.max_outer_iterations = 10;
-  o.admm.max_iterations = 10;
-  return o;
+/// Non-negative CPD with short outer and inner loops.
+CpdConfig tiny_config(rank_t rank = 2) {
+  CpdConfig c;
+  c.rank = rank;
+  c.max_outer_iterations = 10;
+  c.admm.max_iterations = 10;
+  c.with_constraints(
+      ModeConstraints::broadcast({ConstraintKind::kNonNegative}));
+  return c;
 }
 
 TEST(EdgeCases, SingleNonzeroTensor) {
@@ -26,8 +29,7 @@ TEST(EdgeCases, SingleNonzeroTensor) {
   const index_t c[3] = {2, 1, 0};
   x.add({c, 3}, 7.0);
   const CsfSet csf(x);
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  const CpdResult r = cpd_aoadmm(csf, tiny_options(), {&nonneg, 1});
+  const CpdResult r = CpdSolver(csf, tiny_config()).solve();
   EXPECT_FALSE(std::isnan(r.relative_error));
   // A rank-2 model can represent a single spike exactly (or nearly so).
   EXPECT_LT(r.relative_error, 0.8);
@@ -36,8 +38,7 @@ TEST(EdgeCases, SingleNonzeroTensor) {
 TEST(EdgeCases, RankLargerThanSmallestMode) {
   const CooTensor x = testing::random_coo({3, 20, 15}, 100, 91);
   const CsfSet csf(x);
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  const CpdResult r = cpd_aoadmm(csf, tiny_options(8), {&nonneg, 1});
+  const CpdResult r = CpdSolver(csf, tiny_config(8)).solve();
   EXPECT_FALSE(std::isnan(r.relative_error));
   EXPECT_EQ(r.factors[0].cols(), 8u);
 }
@@ -47,8 +48,7 @@ TEST(EdgeCases, LengthOneMode) {
   // year mode).
   const CooTensor x = testing::random_coo({1, 12, 9}, 40, 92);
   const CsfSet csf(x);
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  const CpdResult r = cpd_aoadmm(csf, tiny_options(), {&nonneg, 1});
+  const CpdResult r = CpdSolver(csf, tiny_config()).solve();
   EXPECT_FALSE(std::isnan(r.relative_error));
 }
 
@@ -68,21 +68,19 @@ TEST(EdgeCases, ConstantValueTensor) {
   // A fully observed all-ones tensor IS rank one; the fit must be
   // essentially exact.
   const CsfSet csf(x);
-  CpdOptions opts = tiny_options(1);
+  CpdConfig opts = tiny_config(1);
   opts.max_outer_iterations = 50;
   opts.tolerance = 1e-10;
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  const CpdResult r = cpd_aoadmm(csf, opts, {&nonneg, 1});
+  const CpdResult r = CpdSolver(csf, opts).solve();
   EXPECT_LT(r.relative_error, 1e-3);
 }
 
 TEST(EdgeCases, SingleOuterIteration) {
   const CooTensor x = testing::random_coo({10, 10, 10}, 80, 93);
   const CsfSet csf(x);
-  CpdOptions opts = tiny_options();
+  CpdConfig opts = tiny_config();
   opts.max_outer_iterations = 1;
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  const CpdResult r = cpd_aoadmm(csf, opts, {&nonneg, 1});
+  const CpdResult r = CpdSolver(csf, opts).solve();
   EXPECT_EQ(r.outer_iterations, 1u);
   EXPECT_FALSE(r.converged);
   EXPECT_EQ(r.trace.size(), 1u);
@@ -91,8 +89,7 @@ TEST(EdgeCases, SingleOuterIteration) {
 TEST(EdgeCases, VeryTallSkinnyTensor) {
   const CooTensor x = testing::random_coo({2000, 3, 3}, 400, 94);
   const CsfSet csf(x);
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  const CpdResult r = cpd_aoadmm(csf, tiny_options(), {&nonneg, 1});
+  const CpdResult r = CpdSolver(csf, tiny_config()).solve();
   EXPECT_FALSE(std::isnan(r.relative_error));
   EXPECT_EQ(r.factors[0].rows(), 2000u);
 }
@@ -100,8 +97,7 @@ TEST(EdgeCases, VeryTallSkinnyTensor) {
 TEST(EdgeCases, RankOneFactorization) {
   const CooTensor x = testing::random_coo({8, 8, 8}, 60, 95);
   const CsfSet csf(x);
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  const CpdResult r = cpd_aoadmm(csf, tiny_options(1), {&nonneg, 1});
+  const CpdResult r = CpdSolver(csf, tiny_config(1)).solve();
   EXPECT_EQ(r.factors[0].cols(), 1u);
   EXPECT_FALSE(std::isnan(r.relative_error));
 }
@@ -109,14 +105,14 @@ TEST(EdgeCases, RankOneFactorization) {
 TEST(EdgeCases, AlsWithRidgeRuns) {
   const CooTensor x = testing::random_coo({12, 10, 8}, 100, 96);
   const CsfSet csf(x);
-  const CpdResult r = cpd_als(csf, tiny_options(3), /*ridge=*/0.1);
+  const CpdResult r = cpd_als(csf, tiny_config(3), /*ridge=*/0.1);
   EXPECT_FALSE(std::isnan(r.relative_error));
 }
 
 TEST(EdgeCases, AlsRejectsNegativeRidge) {
   const CooTensor x = testing::random_coo({5, 5}, 10, 97);
   const CsfSet csf(x);
-  EXPECT_THROW(cpd_als(csf, tiny_options(), -0.5), InvalidArgument);
+  EXPECT_THROW(cpd_als(csf, tiny_config(), -0.5), InvalidArgument);
 }
 
 TEST(EdgeCases, ZeroValuedNonzerosSurvive) {
@@ -128,23 +124,21 @@ TEST(EdgeCases, ZeroValuedNonzerosSurvive) {
   x.add({a, 3}, 0.0);
   x.add({b, 3}, 0.0);
   const CsfSet csf(x);
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  const CpdResult r = cpd_aoadmm(csf, tiny_options(), {&nonneg, 1});
+  const CpdResult r = CpdSolver(csf, tiny_config()).solve();
   EXPECT_FALSE(std::isnan(r.relative_error));
 }
 
 TEST(EdgeCases, ThreadCountDoesNotChangeResultMaterially) {
   const CooTensor x = testing::random_coo({30, 25, 20}, 600, 98);
   const CsfSet csf(x);
-  CpdOptions opts = tiny_options(4);
+  CpdConfig opts = tiny_config(4);
   opts.tolerance = 0;
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
 
   const int before = max_threads();
   set_num_threads(1);
-  const CpdResult r1 = cpd_aoadmm(csf, opts, {&nonneg, 1});
+  const CpdResult r1 = CpdSolver(csf, opts).solve();
   set_num_threads(2);  // oversubscribed on a 1-core host: still valid
-  const CpdResult r2 = cpd_aoadmm(csf, opts, {&nonneg, 1});
+  const CpdResult r2 = CpdSolver(csf, opts).solve();
   set_num_threads(before);
 
   // Reduction orders differ across thread counts; results agree to
@@ -155,8 +149,7 @@ TEST(EdgeCases, ThreadCountDoesNotChangeResultMaterially) {
 TEST(EdgeCases, HugeRankSmallTensor) {
   const CooTensor x = testing::random_coo({4, 4, 4}, 20, 99);
   const CsfSet csf(x);
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  const CpdResult r = cpd_aoadmm(csf, tiny_options(32), {&nonneg, 1});
+  const CpdResult r = CpdSolver(csf, tiny_config(32)).solve();
   EXPECT_FALSE(std::isnan(r.relative_error));
 }
 

@@ -9,7 +9,7 @@
 #include <filesystem>
 #include <sstream>
 
-#include "core/cpd.hpp"
+#include "core/solver.hpp"
 #include "tensor/io.hpp"
 #include "tensor/matricize.hpp"
 #include "tensor/synthetic.hpp"
@@ -29,14 +29,17 @@ SyntheticSpec pipeline_spec() {
   return spec;
 }
 
-CpdOptions pipeline_options() {
-  CpdOptions o;
-  o.rank = 6;
-  o.max_outer_iterations = 30;
-  o.tolerance = 1e-5;
-  o.admm.max_iterations = 25;
-  o.admm.block_size = 32;
-  return o;
+/// Non-negative CPD settings the pipeline tests start from.
+CpdConfig pipeline_config() {
+  CpdConfig c;
+  c.rank = 6;
+  c.max_outer_iterations = 30;
+  c.tolerance = 1e-5;
+  c.admm.max_iterations = 25;
+  c.admm.block_size = 32;
+  c.with_constraints(
+      ModeConstraints::broadcast({ConstraintKind::kNonNegative}));
+  return c;
 }
 
 TEST(EndToEnd, GenerateSerializeReloadFactorize) {
@@ -50,8 +53,7 @@ TEST(EndToEnd, GenerateSerializeReloadFactorize) {
   ASSERT_EQ(reloaded.nnz(), x.nnz());
 
   const CsfSet csf(reloaded);
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  const CpdResult r = cpd_aoadmm(csf, pipeline_options(), {&nonneg, 1});
+  const CpdResult r = CpdSolver(csf, pipeline_config()).solve();
   ASSERT_FALSE(r.trace.empty());
   EXPECT_LT(r.relative_error, r.trace.points().front().relative_error);
   EXPECT_LT(r.relative_error, 1.0);
@@ -73,9 +75,8 @@ TEST(EndToEnd, BinaryRoundTripPreservesFactorizationExactly) {
   const CooTensor y = read_binary_file(path);
   std::filesystem::remove_all(dir);
 
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  const CpdResult rx = cpd_aoadmm(CsfSet(x), pipeline_options(), {&nonneg, 1});
-  const CpdResult ry = cpd_aoadmm(CsfSet(y), pipeline_options(), {&nonneg, 1});
+  const CpdResult rx = CpdSolver(CsfSet(x), pipeline_config()).solve();
+  const CpdResult ry = CpdSolver(CsfSet(y), pipeline_config()).solve();
   EXPECT_DOUBLE_EQ(rx.relative_error, ry.relative_error);
 }
 
@@ -92,11 +93,12 @@ TEST(EndToEnd, AllVariantFormatCombinationsProduceValidFactorizations) {
        {AdmmVariant::kBaseline, AdmmVariant::kBlocked}) {
     for (const LeafFormat fmt :
          {LeafFormat::kDense, LeafFormat::kCsr, LeafFormat::kHybrid}) {
-      CpdOptions opts = pipeline_options();
+      CpdConfig opts = pipeline_config();
       opts.variant = variant;
       opts.leaf_format = fmt;
       opts.max_outer_iterations = 15;
-      const CpdResult r = cpd_aoadmm(csf, opts, {&l1, 1});
+      opts.with_constraints(ModeConstraints::broadcast(l1));
+      const CpdResult r = CpdSolver(csf, opts).solve();
       // Sparse data + l1: the absolute error plateaus high (cf. Fig. 6);
       // what matters is a finite, improving, valid factorization.
       EXPECT_LT(r.relative_error, 1.0)
@@ -116,11 +118,10 @@ TEST(EndToEnd, GroundTruthRecoveryAtLowNoise) {
   // tensor, the fit must reach (approximately) the noise floor.
   const CooTensor x = testing::dense_lowrank_tensor({16, 12, 10}, 3, 0.01);
   const CsfSet csf(x);
-  CpdOptions opts = pipeline_options();
+  CpdConfig opts = pipeline_config();
   opts.rank = 8;
   opts.max_outer_iterations = 100;
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  const CpdResult r = cpd_aoadmm(csf, opts, {&nonneg, 1});
+  const CpdResult r = CpdSolver(csf, opts).solve();
   EXPECT_LT(r.relative_error, 0.08);
 }
 
@@ -133,16 +134,15 @@ TEST(EndToEnd, BlockedNotWorseThanBaselinePerIteration) {
   const CooTensor x = make_synthetic(spec);
   const CsfSet csf(x);
 
-  CpdOptions base = pipeline_options();
+  CpdConfig base = pipeline_config();
   base.variant = AdmmVariant::kBaseline;
   base.max_outer_iterations = 10;
   base.tolerance = 0;
-  CpdOptions blocked = base;
+  CpdConfig blocked = base;
   blocked.variant = AdmmVariant::kBlocked;
 
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  const CpdResult rb = cpd_aoadmm(csf, base, {&nonneg, 1});
-  const CpdResult rk = cpd_aoadmm(csf, blocked, {&nonneg, 1});
+  const CpdResult rb = CpdSolver(csf, base).solve();
+  const CpdResult rk = CpdSolver(csf, blocked).solve();
   EXPECT_LE(rk.relative_error, rb.relative_error + 0.03);
 }
 
@@ -153,11 +153,10 @@ TEST(EndToEnd, FrosttStandinSmokeFactorization) {
   const NamedDataset d = frostt_standin("reddit-s", 0.05);
   const CooTensor x = make_synthetic(d.spec);
   const CsfSet csf(x);
-  CpdOptions opts = pipeline_options();
+  CpdConfig opts = pipeline_config();
   opts.rank = 8;
   opts.max_outer_iterations = 10;
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  const CpdResult r = cpd_aoadmm(csf, opts, {&nonneg, 1});
+  const CpdResult r = CpdSolver(csf, opts).solve();
   EXPECT_GT(r.outer_iterations, 0u);
   EXPECT_EQ(r.factors.size(), 3u);
   EXPECT_GE(r.relative_error, 0.0);

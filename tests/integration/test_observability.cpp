@@ -7,7 +7,7 @@
 #include <sstream>
 #include <vector>
 
-#include "core/cpd.hpp"
+#include "core/solver.hpp"
 #include "testing/helpers.hpp"
 #include "testing/json_check.hpp"
 #include "obs/metrics.hpp"
@@ -17,28 +17,30 @@
 namespace aoadmm {
 namespace {
 
-CpdOptions small_options(AdmmVariant variant) {
-  CpdOptions opts;
-  opts.rank = 4;
-  opts.max_outer_iterations = 6;
-  opts.tolerance = 0;  // never converge early: iteration count is exact
-  opts.variant = variant;
-  opts.admm.block_size = 8;
-  opts.seed = 99;
-  return opts;
+/// Non-negative CPD of a fixed six outer iterations.
+CpdConfig small_config(AdmmVariant variant) {
+  CpdConfig cfg;
+  cfg.rank = 4;
+  cfg.max_outer_iterations = 6;
+  cfg.tolerance = 0;  // never converge early: iteration count is exact
+  cfg.variant = variant;
+  cfg.admm.block_size = 8;
+  cfg.seed = 99;
+  cfg.with_constraints(
+      ModeConstraints::broadcast({ConstraintKind::kNonNegative}));
+  return cfg;
 }
 
 void check_snapshots(AdmmVariant variant) {
   const CooTensor x = testing::random_coo({20, 16, 12}, 600);
   const CsfSet csf(x);
-  CpdOptions opts = small_options(variant);
+  CpdConfig opts = small_config(variant);
 
   std::vector<obs::MetricsSnapshot> snaps;
   opts.on_iteration = [&snaps](const obs::MetricsSnapshot& s) {
     snaps.push_back(s);
   };
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  const CpdResult r = cpd_aoadmm(csf, opts, {&nonneg, 1});
+  const CpdResult r = CpdSolver(csf, opts).solve();
 
   // Callback count == outer iterations, exactly.
   ASSERT_EQ(snaps.size(), static_cast<std::size_t>(r.outer_iterations));
@@ -89,7 +91,7 @@ TEST(Observability, BlockedVariantDeliversSnapshots) {
 TEST(Observability, AlsDeliversSnapshots) {
   const CooTensor x = testing::random_coo({15, 12, 10}, 400);
   const CsfSet csf(x);
-  CpdOptions opts = small_options(AdmmVariant::kBlocked);
+  CpdConfig opts = small_config(AdmmVariant::kBlocked);
   unsigned calls = 0;
   opts.on_iteration = [&calls](const obs::MetricsSnapshot& s) {
     ++calls;
@@ -104,24 +106,22 @@ TEST(Observability, AlsDeliversSnapshots) {
 TEST(Observability, EmptyCallbackCostsNothingAndStillWorks) {
   const CooTensor x = testing::random_coo({10, 8, 6}, 150);
   const CsfSet csf(x);
-  CpdOptions opts = small_options(AdmmVariant::kBlocked);
+  CpdConfig opts = small_config(AdmmVariant::kBlocked);
   ASSERT_FALSE(opts.on_iteration);
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  const CpdResult r = cpd_aoadmm(csf, opts, {&nonneg, 1});
+  const CpdResult r = CpdSolver(csf, opts).solve();
   EXPECT_EQ(r.outer_iterations, 6u);
 }
 
 TEST(Observability, SnapshotJsonIsOneValidObjectPerLine) {
   const CooTensor x = testing::random_coo({10, 8, 6}, 150);
   const CsfSet csf(x);
-  CpdOptions opts = small_options(AdmmVariant::kBaseline);
+  CpdConfig opts = small_config(AdmmVariant::kBaseline);
   std::ostringstream os;
   opts.on_iteration = [&os](const obs::MetricsSnapshot& s) {
     s.write_json(os);
     os << "\n";
   };
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  cpd_aoadmm(csf, opts, {&nonneg, 1});
+  CpdSolver(csf, opts).solve();
 
   std::istringstream lines(os.str());
   std::string line;
@@ -138,12 +138,11 @@ TEST(Observability, SnapshotJsonIsOneValidObjectPerLine) {
 TEST(Observability, DriverPopulatesGlobalRegistry) {
   const CooTensor x = testing::random_coo({10, 8, 6}, 150);
   const CsfSet csf(x);
-  CpdOptions opts = small_options(AdmmVariant::kBlocked);
+  CpdConfig opts = small_config(AdmmVariant::kBlocked);
   auto& reg = obs::MetricsRegistry::global();
   const double runs_before = reg.counter_value("cpd/runs");
   const double outer_before = reg.counter_value("cpd/outer_iterations");
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  cpd_aoadmm(csf, opts, {&nonneg, 1});
+  CpdSolver(csf, opts).solve();
 
   EXPECT_DOUBLE_EQ(reg.counter_value("cpd/runs"), runs_before + 1);
   EXPECT_DOUBLE_EQ(reg.counter_value("cpd/outer_iterations"),
@@ -161,9 +160,8 @@ TEST(Observability, ChromeTraceFromRealRunParsesAsJson) {
   obs::profiling_start();
   const CooTensor x = testing::random_coo({10, 8, 6}, 150);
   const CsfSet csf(x);
-  CpdOptions opts = small_options(AdmmVariant::kBlocked);
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
-  cpd_aoadmm(csf, opts, {&nonneg, 1});
+  CpdConfig opts = small_config(AdmmVariant::kBlocked);
+  CpdSolver(csf, opts).solve();
   obs::profiling_stop();
 
   std::ostringstream os;

@@ -8,7 +8,6 @@
 #include <string>
 
 #include "core/checkpoint.hpp"
-#include "core/cpd.hpp"
 #include "core/solver.hpp"
 #include "tensor/csf.hpp"
 #include "testing/fault_injection.hpp"
@@ -24,19 +23,22 @@ class RobustnessIntegration : public ::testing::Test {
   void TearDown() override { testing::disarm_faults(); }
 };
 
-CpdOptions tight_options(rank_t rank, bool robust) {
-  CpdOptions o;
-  o.rank = rank;
+/// Non-negative CPD, with or without the guard rails.
+CpdConfig tight_config(rank_t rank, bool robust) {
+  CpdConfig c;
+  c.rank = rank;
   // Deep convergence: on the noise-free tensor below, both the clean and
   // the faulted solve stop on tolerance well before the outer cap (at
   // ~1e-7 relative error), which is what makes their fits comparable.
-  o.max_outer_iterations = 800;
-  o.tolerance = 1e-14;
-  o.admm.tolerance = 1e-8;
-  o.admm.max_iterations = 200;
-  o.seed = 17;
-  o.admm.robustness.enabled = robust;
-  return o;
+  c.max_outer_iterations = 800;
+  c.tolerance = 1e-14;
+  c.admm.tolerance = 1e-8;
+  c.admm.max_iterations = 200;
+  c.seed = 17;
+  c.admm.robustness.enabled = robust;
+  c.with_constraints(
+      ModeConstraints::broadcast({ConstraintKind::kNonNegative}));
+  return c;
 }
 
 /// A noise-free exactly-low-rank dense tensor: every solve that converges
@@ -50,10 +52,9 @@ CsfSet lowrank_csf() {
 
 TEST_F(RobustnessIntegration, FaultedRunMatchesCleanRunFit) {
   const CsfSet csf = lowrank_csf();
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
 
   const CpdResult clean =
-      cpd_aoadmm(csf, tight_options(3, /*robust=*/true), {&nonneg, 1});
+      CpdSolver(csf, tight_config(3, /*robust=*/true)).solve();
   EXPECT_TRUE(clean.recovery.empty()) << clean.recovery.to_string();
   ASSERT_LT(clean.relative_error, 1e-5);
 
@@ -63,7 +64,7 @@ TEST_F(RobustnessIntegration, FaultedRunMatchesCleanRunFit) {
   faults.at(testing::FaultSite::kMttkrpNaN) = {0.5, 2};
   testing::arm_faults(faults);
   const CpdResult faulted =
-      cpd_aoadmm(csf, tight_options(3, /*robust=*/true), {&nonneg, 1});
+      CpdSolver(csf, tight_config(3, /*robust=*/true)).solve();
   testing::disarm_faults();
 
   // Every injected fault was absorbed by a guard rail...
@@ -79,18 +80,17 @@ TEST_F(RobustnessIntegration, FaultedRunMatchesCleanRunFit) {
 
 TEST_F(RobustnessIntegration, GramFaultWithoutRobustnessThrows) {
   const CsfSet csf = lowrank_csf();
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
   testing::FaultConfig faults;
   faults.at(testing::FaultSite::kGramNonPd) = {1.0, 1};
   testing::arm_faults(faults);
-  EXPECT_THROW(
-      cpd_aoadmm(csf, tight_options(3, /*robust=*/false), {&nonneg, 1}),
-      NumericalError);
+  EXPECT_THROW(CpdSolver(csf, tight_config(3, /*robust=*/false)).solve(),
+               NumericalError);
 }
 
 TEST_F(RobustnessIntegration, NanFaultWithoutRobustnessIsScrubbedByProx) {
   const CsfSet csf = lowrank_csf();
-  const ConstraintSpec none{ConstraintKind::kNone};
+  CpdConfig cfg = tight_config(3, /*robust=*/false);
+  cfg.with_constraints(ModeConstraints::broadcast({ConstraintKind::kNone}));
   testing::FaultConfig faults;
   faults.at(testing::FaultSite::kMttkrpNaN) = {1.0, 1};
   testing::arm_faults(faults);
@@ -99,8 +99,7 @@ TEST_F(RobustnessIntegration, NanFaultWithoutRobustnessIsScrubbedByProx) {
   // factor stays finite even with the guard rails off. The one poisoned
   // update costs accuracy, not the run.
   CpdResult result;
-  EXPECT_NO_THROW(
-      result = cpd_aoadmm(csf, tight_options(3, /*robust=*/false), {&none, 1}));
+  EXPECT_NO_THROW(result = CpdSolver(csf, cfg).solve());
   testing::disarm_faults();
   for (const Matrix& factor : result.factors) {
     for (const real_t v : factor.flat()) {
@@ -128,17 +127,17 @@ CsfSet rank_deficient_csf() {
 }
 
 TEST_F(RobustnessIntegration, RankDeficientAlsThrowsWithoutRobustness) {
-  CpdOptions opts = tight_options(4, /*robust=*/false);
-  opts.max_outer_iterations = 30;
-  EXPECT_THROW(cpd_als(rank_deficient_csf(), opts, /*ridge=*/0.0),
+  CpdConfig cfg = tight_config(4, /*robust=*/false);
+  cfg.max_outer_iterations = 30;
+  EXPECT_THROW(cpd_als(rank_deficient_csf(), cfg, /*ridge=*/0.0),
                NumericalError);
 }
 
 TEST_F(RobustnessIntegration, RankDeficientAlsConvergesUnderRobustness) {
-  CpdOptions opts = tight_options(4, /*robust=*/true);
-  opts.max_outer_iterations = 30;
-  opts.tolerance = 1e-8;
-  const CpdResult r = cpd_als(rank_deficient_csf(), opts, /*ridge=*/0.0);
+  CpdConfig cfg = tight_config(4, /*robust=*/true);
+  cfg.max_outer_iterations = 30;
+  cfg.tolerance = 1e-8;
+  const CpdResult r = cpd_als(rank_deficient_csf(), cfg, /*ridge=*/0.0);
   EXPECT_GT(r.recovery.count(RecoveryKind::kCholeskyJitter), 0u);
   ASSERT_TRUE(std::isfinite(r.relative_error));
   // The tensor is exactly rank one, so even the stabilized solves fit it.

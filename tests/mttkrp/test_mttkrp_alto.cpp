@@ -278,16 +278,14 @@ TEST(MttkrpAlto, AlsEndToEndMatchesOneTree) {
   const CooTensor x = testing::random_coo(dims, 700, 611);
   const CsfSet one(x, CsfStrategy::kOneMode);
 
-  CpdOptions opts;
-  opts.rank = 5;
-  opts.max_outer_iterations = 5;
-  opts.tolerance = 0;
+  CpdConfig cfg;
+  cfg.with_rank(5).with_max_outer(5).with_tolerance(0);
 
-  CpdOptions onetree_opts = opts;
+  CpdConfig onetree_opts = cfg;
   onetree_opts.mttkrp_kernel = MttkrpKernel::kOneTree;
   const CpdResult r_onetree = cpd_als(one, onetree_opts);
 
-  CpdOptions alto_opts = opts;
+  CpdConfig alto_opts = cfg;
   alto_opts.mttkrp_kernel = MttkrpKernel::kAlto;
   const CpdResult r_alto = cpd_als(one, alto_opts);
 

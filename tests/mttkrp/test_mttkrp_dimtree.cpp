@@ -299,16 +299,14 @@ TEST(MttkrpDimTree, AlsEndToEndMatchesOneTree) {
   const CooTensor x = testing::random_coo(dims, 900, 988);
   const CsfSet one(x, CsfStrategy::kOneMode);
 
-  CpdOptions opts;
-  opts.rank = 5;
-  opts.max_outer_iterations = 5;
-  opts.tolerance = 0;
+  CpdConfig cfg;
+  cfg.with_rank(5).with_max_outer(5).with_tolerance(0);
 
-  CpdOptions onetree_opts = opts;
+  CpdConfig onetree_opts = cfg;
   onetree_opts.mttkrp_kernel = MttkrpKernel::kOneTree;
   const CpdResult r_onetree = cpd_als(one, onetree_opts);
 
-  CpdOptions dimtree_opts = opts;
+  CpdConfig dimtree_opts = cfg;
   dimtree_opts.mttkrp_kernel = MttkrpKernel::kDimTree;
   const CpdResult r_dimtree = cpd_als(one, dimtree_opts);
 

@@ -5,7 +5,7 @@
 
 #include <tuple>
 
-#include "core/cpd.hpp"
+#include "core/solver.hpp"
 #include "la/blas.hpp"
 #include "mttkrp/mttkrp.hpp"
 #include "testing/helpers.hpp"
@@ -119,16 +119,14 @@ TEST(CsfSetStrategy, CpdResultsAgreeAcrossStrategies) {
   // order); full factorizations must agree to floating-point tolerance.
   const std::vector<index_t> dims{30, 20, 25};
   const CooTensor x = testing::random_coo(dims, 900, 87);
-  CpdOptions opts;
-  opts.rank = 5;
-  opts.max_outer_iterations = 8;
-  opts.tolerance = 0;
-  const ConstraintSpec nonneg{ConstraintKind::kNonNegative};
+  CpdConfig cfg;
+  cfg.with_rank(5).with_max_outer(8).with_tolerance(0).with_constraints(
+      ModeConstraints::broadcast({ConstraintKind::kNonNegative}));
 
   const CpdResult r_all =
-      cpd_aoadmm(CsfSet(x, CsfStrategy::kAllMode), opts, {&nonneg, 1});
+      CpdSolver(CsfSet(x, CsfStrategy::kAllMode), cfg).solve();
   const CpdResult r_one =
-      cpd_aoadmm(CsfSet(x, CsfStrategy::kOneMode), opts, {&nonneg, 1});
+      CpdSolver(CsfSet(x, CsfStrategy::kOneMode), cfg).solve();
   EXPECT_NEAR(r_all.relative_error, r_one.relative_error, 1e-6);
 }
 

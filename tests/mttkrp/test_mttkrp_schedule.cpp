@@ -245,8 +245,7 @@ TEST(MttkrpSchedule, TiledSetSolvesLikeUntiled) {
   EXPECT_EQ(tiled.nnz(), plain.nnz());
   EXPECT_DOUBLE_EQ(tiled.norm_sq(), plain.norm_sq());
   CpdConfig tiled_cfg = cfg;
-  tiled_cfg.with_mttkrp_kernel(MttkrpKernel::kTiled)
-      .with_mttkrp_tile_rows(7);
+  tiled_cfg.with_mttkrp_kernel(MttkrpKernel::kTiled);
   CpdSolver tiled_solver(tiled, tiled_cfg);
   const CpdResult r_tiled = tiled_solver.solve();
 
@@ -279,8 +278,7 @@ TEST(MttkrpSchedule, SolverRejectsIncoherentKernelAndSet) {
   {
     const CsfSet plain(x);
     CpdConfig bad = cfg;
-    bad.with_mttkrp_kernel(MttkrpKernel::kTiled)
-        .with_mttkrp_tile_rows(4);
+    bad.with_mttkrp_kernel(MttkrpKernel::kTiled);
     EXPECT_THROW(CpdSolver(plain, bad), InvalidArgument);
   }
   // Non-tiled kernel on a tiled set.
@@ -320,25 +318,17 @@ TEST(MttkrpSchedule, ConfigValidationFlagsBadCombinations) {
   // Tiled kernel + compressed leaf is an error.
   CpdConfig bad = cfg;
   bad.with_mttkrp_kernel(MttkrpKernel::kTiled)
-      .with_mttkrp_tile_rows(8)
       .with_leaf_format(LeafFormat::kCsr);
   const ValidationReport r1 = bad.validate(3);
   EXPECT_FALSE(r1.ok());
 
-  // tile_rows with a kernel that never tiles: warning, not error.
-  CpdConfig warn1 = cfg;
-  warn1.with_mttkrp_kernel(MttkrpKernel::kAllMode).with_mttkrp_tile_rows(8);
-  const ValidationReport r2 = warn1.validate(3);
+  // onetree + dynamic re-enables the atomic path: warning.
+  CpdConfig warn = cfg;
+  warn.with_mttkrp_kernel(MttkrpKernel::kOneTree)
+      .with_mttkrp_schedule(MttkrpSchedule::kDynamic);
+  const ValidationReport r2 = warn.validate(3);
   EXPECT_TRUE(r2.ok());
   EXPECT_GE(r2.warning_count(), 1u);
-
-  // onetree + dynamic re-enables the atomic path: warning.
-  CpdConfig warn2 = cfg;
-  warn2.with_mttkrp_kernel(MttkrpKernel::kOneTree)
-      .with_mttkrp_schedule(MttkrpSchedule::kDynamic);
-  const ValidationReport r3 = warn2.validate(3);
-  EXPECT_TRUE(r3.ok());
-  EXPECT_GE(r3.warning_count(), 1u);
 
   // The headline combination is clean.
   CpdConfig good = cfg;

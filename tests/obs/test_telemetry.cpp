@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -27,6 +28,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 #define AOADMM_TEST_SOCKETS 1
 #else
@@ -447,13 +449,11 @@ TEST(TelemetryExporters, QuantileSetAppearsInJsonAndCsv) {
 
 #if AOADMM_TEST_SOCKETS
 
-/// Minimal blocking HTTP/1.1 GET against 127.0.0.1:port. Returns the full
-/// response (status line + headers + body), empty on connection failure.
-std::string http_get(std::uint16_t port, const std::string& path,
-                     const std::string& method = "GET") {
+/// A socket connected to 127.0.0.1:port, or -1.
+int connect_loopback(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
-    return "";
+    return -1;
   }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -462,8 +462,25 @@ std::string http_get(std::uint16_t port, const std::string& path,
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
       0) {
     ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Minimal blocking HTTP/1.1 GET against 127.0.0.1:port. Returns the full
+/// response (status line + headers + body), empty on connection failure or
+/// when no byte arrives for 10 s — ten times the server's own per-client
+/// timeout, so a server that never answers fails a test instead of hanging
+/// it.
+std::string http_get(std::uint16_t port, const std::string& path,
+                     const std::string& method = "GET") {
+  const int fd = connect_loopback(port);
+  if (fd < 0) {
     return "";
   }
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   const std::string req =
       method + " " + path + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
   std::size_t off = 0;
@@ -548,6 +565,33 @@ TEST(TelemetryServer, HealthzReturns503WhenStale) {
   server.stop();
   reg.gauge("stream/snapshot_epoch").set(0);
   reg.gauge("stream/staleness_seconds").set(0);
+}
+
+TEST(TelemetryServer, IdleClientBlocksNeitherScrapesNorStop) {
+  ExpositionServer server{ExpositionOptions{}};
+  server.start();
+  // Connected, never sends a byte. One thread serves every client, so the
+  // server has to give up on this one before it can answer the next.
+  const int idle = connect_loopback(server.port());
+  ASSERT_GE(idle, 0);
+
+  EXPECT_NE(http_get(server.port(), "/metrics").find("HTTP/1.1 200 OK"),
+            std::string::npos);
+
+  // stop() joins the serving thread. Run it aside so that a thread still
+  // stuck on the idle socket fails the wait instead of hanging the test;
+  // closing the socket afterwards lets such a thread go either way.
+  std::promise<void> stopped;
+  std::future<void> done = stopped.get_future();
+  std::thread stopper([&] {
+    server.stop();
+    stopped.set_value();
+  });
+  const bool returned =
+      done.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  ::close(idle);
+  stopper.join();
+  EXPECT_TRUE(returned) << "stop() waited on the idle client";
 }
 
 #endif  // AOADMM_TEST_SOCKETS
