@@ -171,60 +171,13 @@ void BM_MttkrpMemoryBoundCsr(benchmark::State& state) {
 }
 BENCHMARK(BM_MttkrpMemoryBoundCsr)->Unit(benchmark::kMillisecond);
 
-// Tiling pays when leaf rows are REUSED: each tile pass then serves many
-// accesses from a cache-resident slab. (With reuse ~1 — the CSR setup
-// above — fiber fragmentation outweighs locality and tiling loses; that
-// boundary is exactly why SPLATT exposes tiling as an option.) This setup
-// has ~19 accesses per leaf row and a 67 MB leaf factor.
-struct TiledSetup {
-  CooTensor coo{std::vector<index_t>{256, 128, 131072}};
-  std::vector<Matrix> factors;
-
-  TiledSetup() {
-    Rng rng(101);
-    coo.reserve(2500000);
-    std::vector<index_t> c(3);
-    for (int n = 0; n < 2500000; ++n) {
-      c[0] = static_cast<index_t>(rng.uniform_index(256));
-      c[1] = static_cast<index_t>(rng.uniform_index(128));
-      c[2] = static_cast<index_t>(rng.uniform_index(131072));
-      coo.add(c, rng.uniform(0.1, 1.0));
-    }
-    coo.deduplicate();
-    for (const index_t d : coo.dims()) {
-      factors.push_back(Matrix::random_uniform(d, 64, rng, 0.1, 1.0));
-    }
-  }
-
-  static const TiledSetup& instance() {
-    static const TiledSetup s;
-    return s;
-  }
-};
-
-void BM_MttkrpMemoryBoundTiled(benchmark::State& state) {
-  const auto& s = TiledSetup::instance();
-  const auto tile_rows = static_cast<index_t>(state.range(0));
-  const TiledCsf tiled(s.coo, 0, tile_rows);  // 0 = single tile (untiled)
-  Matrix out;
-  for (auto _ : state) {
-    mttkrp_tiled(tiled, s.factors, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(s.coo.nnz()));
-}
-BENCHMARK(BM_MttkrpMemoryBoundTiled)
-    ->Arg(0)
-    ->Arg(8192)
-    ->Arg(32768)
-    ->Unit(benchmark::kMillisecond);
-
 // -----------------------------------------------------------------------
 // Non-root scatter strategies (the atomic-free MTTKRP work): one power-law
-// order-3 tensor, one tree rooted at mode 0, target mode 1, and the three
-// scatter policies head to head. AOADMM_BENCH_NONROOT_NNZ scales the
-// tensor (default 1M non-zeros; the committed speedup numbers use 5M).
+// order-3 tensor, one tree rooted at mode 0, target mode 1, and the two
+// scatter policies head to head (the per-element-atomic baseline they
+// replaced is recorded in BENCH_nonroot_speedup.json).
+// AOADMM_BENCH_NONROOT_NNZ scales the tensor (default 1M non-zeros; the
+// committed speedup numbers use 5M).
 // -----------------------------------------------------------------------
 
 struct NonRootSetup {
@@ -271,12 +224,6 @@ void run_nonroot(benchmark::State& state, MttkrpSchedule schedule) {
                           static_cast<std::int64_t>(s.coo.nnz()));
 }
 
-void BM_MttkrpNonRootAtomic(benchmark::State& state) {
-  run_nonroot(state, MttkrpSchedule::kDynamic);
-}
-BENCHMARK(BM_MttkrpNonRootAtomic)->Arg(1)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_MttkrpNonRootPrivatized(benchmark::State& state) {
   run_nonroot(state, MttkrpSchedule::kWeighted);
 }
@@ -289,23 +236,19 @@ void BM_MttkrpNonRootOwner(benchmark::State& state) {
 BENCHMARK(BM_MttkrpNonRootOwner)->Arg(1)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// Root kernel: weighted static chunks vs. the legacy dynamic loop on the
-// same power-law tensor (the nnz-weighted scheduling half of the work).
-void BM_MttkrpRootSchedule(benchmark::State& state) {
+// Root kernel on the same power-law tensor: nnz-weighted static chunks of
+// root slices (the scheduling half of the atomic-free work).
+void BM_MttkrpRootWeighted(benchmark::State& state) {
   const auto& s = NonRootSetup::instance();
-  const auto schedule = static_cast<MttkrpSchedule>(state.range(0));
   Matrix out;
   for (auto _ : state) {
-    mttkrp_csf(s.csf, s.factors, out, /*accumulate=*/false, schedule);
+    mttkrp_csf(s.csf, s.factors, out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(s.coo.nnz()));
 }
-BENCHMARK(BM_MttkrpRootSchedule)
-    ->Arg(static_cast<int>(MttkrpSchedule::kDynamic))
-    ->Arg(static_cast<int>(MttkrpSchedule::kWeighted))
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MttkrpRootWeighted)->Unit(benchmark::kMillisecond);
 
 void BM_CsrConstruction(benchmark::State& state) {
   const auto factors = micro_factors(16, 0.9);

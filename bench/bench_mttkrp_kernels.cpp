@@ -76,8 +76,7 @@ void BM_MttkrpSweepOneTree(benchmark::State& state) {
   Matrix out;
   for (auto _ : state) {
     for (std::size_t m = 0; m < order; ++m) {
-      mttkrp_dispatch(s.tree(), factors, m, out, MttkrpSchedule::kAuto,
-                      MttkrpKernel::kOneTree);
+      mttkrp_dispatch(s.tree(), factors, m, out, MttkrpKernel::kOneTree);
       benchmark::DoNotOptimize(out.data());
     }
   }
@@ -100,7 +99,7 @@ void BM_MttkrpSweepDimTree(benchmark::State& state) {
   }
   for (auto _ : state) {
     for (std::size_t m = 0; m < order; ++m) {
-      mttkrp_dispatch(s.tree(), factors, m, out, MttkrpSchedule::kAuto,
+      mttkrp_dispatch(s.tree(), factors, m, out,
                       MttkrpKernel::kDimTree, &engine);
       // The solver updates factor m right after its MTTKRP; charge the
       // resulting cache invalidation to the sweep.
@@ -122,8 +121,7 @@ void BM_MttkrpSweepAlto(benchmark::State& state) {
   mttkrp_alto(s.tree().alto_index(), factors, 0, out);
   for (auto _ : state) {
     for (std::size_t m = 0; m < order; ++m) {
-      mttkrp_dispatch(s.tree(), factors, m, out, MttkrpSchedule::kAuto,
-                      MttkrpKernel::kAlto);
+      mttkrp_dispatch(s.tree(), factors, m, out, MttkrpKernel::kAlto);
       benchmark::DoNotOptimize(out.data());
     }
   }

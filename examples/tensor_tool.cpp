@@ -2,7 +2,7 @@
 //
 // Subcommands:
 //   generate  --out t.tns [--dims 100x80x60] [--nnz 5000] [--alpha 1.0]
-//             [--rank 4] [--noise 0.1] [--seed 42] [--binary]
+//             [--rank 4] [--noise 0.1] [--seed 42]   (--out x.bin: binary)
 //   stats     t.tns                     print dims/nnz/density/slice skew
 //   convert   in.tns out.bin            text <-> binary (by extension)
 //   stream-replay t.tns [--batches 8] [--time-mode M] [--window W]
@@ -25,9 +25,7 @@
 //             [--couple y.mat] [--couple-mode 0] [--couple-weight 1.0]
 //             [--couple-constraint none]
 //             [--variant blocked|base] [--format dense|csr|csr-h]
-//             [--mttkrp-kernel auto|allmode|onetree|tiled|dimtree|alto]
-//             [--mttkrp-schedule auto|dynamic|weighted|owner]
-//             [--tile-rows N]
+//             [--mttkrp-kernel auto|allmode|onetree|dimtree|alto]
 //             [--max-outer 50] [--tol 1e-5] [--block 50] [--trace out.csv]
 //             [--threads N] [--save-factors prefix]
 //             [--objective ls|observed]
@@ -65,15 +63,14 @@
 //
 // MTTKRP (cpd): --mttkrp-kernel picks the driver (auto follows the CSF
 // compilation; onetree compiles a single tree and serves the other modes
-// through the scatter kernels, 1/order the memory; tiled blocks the leaf
-// mode in --tile-rows chunks for cache residency; dimtree caches partial
+// through the scatter kernels, 1/order the memory; dimtree caches partial
 // contractions across the mode sweep on one tree; alto runs the
-// bit-interleaved linearized kernel). --tile-rows N compiles the tiled CSF;
-// only auto and tiled run on it, and any other kernel, a loss other than
-// frobenius, or --shards/--spill-dir is an error (exit 1).
-// --mttkrp-schedule picks the scatter/scheduling policy (auto; weighted =
-// nnz-weighted static chunks + privatized reduction; owner = owner-computes
-// partitioning; dynamic = the legacy atomic baseline, for ablations).
+// bit-interleaved linearized kernel). The scatter kernels pick privatized
+// or owner-computes reduction per mode from the mode length, the rank and
+// the thread count.
+//
+// Errors: a bad flag value or combination prints `error: <message>` and
+// exits 1; a flag the command never reads draws one stderr warning each.
 //
 // Sharding (cpd): --shards=AxBxC splits the tensor into a medium-grained
 // N-D grid of CSF tiles (one extent per mode) solved by per-shard workers
@@ -173,6 +170,14 @@ using namespace aoadmm;
 
 namespace {
 
+/// User-input check: the message alone reaches the user (exit 1), without
+/// the source location a library contract check would add.
+void require(bool ok, const std::string& message) {
+  if (!ok) {
+    throw InvalidArgument(message);
+  }
+}
+
 bool has_suffix(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
@@ -201,14 +206,14 @@ std::vector<index_t> parse_dims(const std::string& s) {
   while (pos < s.size()) {
     const std::size_t x = s.find('x', pos);
     const std::string tok = s.substr(pos, x - pos);
-    AOADMM_CHECK_MSG(!tok.empty(), "bad --dims: " + s);
+    require(!tok.empty(), "bad --dims: " + s);
     dims.push_back(static_cast<index_t>(std::stoul(tok)));
     if (x == std::string::npos) {
       break;
     }
     pos = x + 1;
   }
-  AOADMM_CHECK_MSG(dims.size() >= 2, "--dims needs at least 2 modes");
+  require(dims.size() >= 2, "--dims needs at least 2 modes");
   return dims;
 }
 
@@ -221,14 +226,14 @@ std::vector<std::size_t> parse_grid(const std::string& s) {
   while (pos < s.size()) {
     const std::size_t x = s.find('x', pos);
     const std::string tok = s.substr(pos, x - pos);
-    AOADMM_CHECK_MSG(!tok.empty(), "bad --shards: " + s);
+    require(!tok.empty(), "bad --shards: " + s);
     grid.push_back(static_cast<std::size_t>(std::stoul(tok)));
     if (x == std::string::npos) {
       break;
     }
     pos = x + 1;
   }
-  AOADMM_CHECK_MSG(!grid.empty(), "bad --shards: " + s);
+  require(!grid.empty(), "bad --shards: " + s);
   return grid;
 }
 
@@ -249,8 +254,7 @@ int cmd_generate(const Options& opts) {
 }
 
 int cmd_stats(const Options& opts) {
-  AOADMM_CHECK_MSG(opts.positional().size() >= 2,
-                   "usage: tensor_tool stats <file>");
+  require(opts.positional().size() >= 2, "usage: tensor_tool stats <file>");
   const CooTensor x = load_any(opts.positional()[1]);
   std::printf("order : %zu\n", x.order());
   std::printf("dims  : ");
@@ -279,8 +283,8 @@ int cmd_stats(const Options& opts) {
 }
 
 int cmd_convert(const Options& opts) {
-  AOADMM_CHECK_MSG(opts.positional().size() >= 3,
-                   "usage: tensor_tool convert <in> <out>");
+  require(opts.positional().size() >= 3,
+          "usage: tensor_tool convert <in> <out>");
   const CooTensor x = load_any(opts.positional()[1]);
   save_any(x, opts.positional()[2]);
   std::printf("converted %s -> %s (%llu non-zeros)\n",
@@ -316,7 +320,6 @@ std::string cli_flag_for(const std::string& field) {
   if (field == "admm.block_size") return "--block";
   if (field == "leaf_format") return "--format";
   if (field == "mttkrp_kernel") return "--mttkrp-kernel";
-  if (field == "mttkrp_schedule") return "--mttkrp-schedule";
   if (field == "checkpoint_path") return "--checkpoint";
   if (field == "checkpoint_every") return "--checkpoint-every";
   if (field == "robustness.max_recoveries") return "--max-recoveries";
@@ -333,8 +336,8 @@ std::string cli_flag_for(const std::string& field) {
 }
 
 int cmd_cpd(const Options& opts) {
-  AOADMM_CHECK_MSG(opts.positional().size() >= 2,
-                   "usage: tensor_tool cpd <file> [options]");
+  require(opts.positional().size() >= 2,
+          "usage: tensor_tool cpd <file> [options]");
   const int threads = static_cast<int>(opts.get_int("threads", 0));
   if (threads > 0) {
     set_num_threads(threads);
@@ -360,37 +363,15 @@ int cmd_cpd(const Options& opts) {
     kernel = MttkrpKernel::kAllMode;
   } else if (kernel_str == "onetree") {
     kernel = MttkrpKernel::kOneTree;
-  } else if (kernel_str == "tiled") {
-    kernel = MttkrpKernel::kTiled;
   } else if (kernel_str == "dimtree") {
     kernel = MttkrpKernel::kDimTree;
   } else if (kernel_str == "alto") {
     kernel = MttkrpKernel::kAlto;
   } else {
-    AOADMM_CHECK_MSG(
-        kernel_str == "auto",
-        "--mttkrp-kernel must be auto|allmode|onetree|tiled|dimtree|alto");
+    require(kernel_str == "auto",
+            "--mttkrp-kernel must be auto|allmode|onetree|dimtree|alto");
   }
 
-  const std::string sched_str = opts.get_string("mttkrp-schedule", "auto");
-  MttkrpSchedule schedule = MttkrpSchedule::kAuto;
-  if (sched_str == "dynamic") {
-    schedule = MttkrpSchedule::kDynamic;
-  } else if (sched_str == "weighted") {
-    schedule = MttkrpSchedule::kWeighted;
-  } else if (sched_str == "owner") {
-    schedule = MttkrpSchedule::kOwner;
-  } else {
-    AOADMM_CHECK_MSG(sched_str == "auto",
-                     "--mttkrp-schedule must be auto|dynamic|weighted|owner");
-  }
-
-  // --tile-rows compiles the tiled CSF; the solver rejects a kernel or a
-  // loss that cannot run on it.
-  const auto tile_rows =
-      static_cast<index_t>(opts.get_int("tile-rows", 0));
-  AOADMM_CHECK_MSG(!(sharded && tile_rows > 0),
-                   "--tile-rows does not support --shards/--spill-dir");
   // The single-tree kernels (onetree, and the cached dimtree/alto engines
   // built on top of it) need the one-mode compilation.
   const CsfStrategy strategy = (kernel == MttkrpKernel::kOneTree ||
@@ -407,15 +388,13 @@ int cmd_cpd(const Options& opts) {
                                         : grid_to_string(shard_opts.grid).c_str(),
                 shard_opts.out_of_core() ? " (out-of-core)" : "");
   } else {
-    std::printf("loaded %llu non-zeros; compiling CSF (%s%s)...\n",
-                static_cast<unsigned long long>(x.nnz()), to_string(strategy),
-                tile_rows > 0 ? ", tiled" : "");
-    csf.emplace(x, strategy, tile_rows);
+    std::printf("loaded %llu non-zeros; compiling CSF (%s)...\n",
+                static_cast<unsigned long long>(x.nnz()), to_string(strategy));
+    csf.emplace(x, strategy);
   }
 
   CpdConfig config;
   config.with_mttkrp_kernel(kernel)
-      .with_mttkrp_schedule(schedule)
       .with_rank(static_cast<rank_t>(opts.get_int("rank", 16)))
       .with_max_outer(static_cast<unsigned>(opts.get_int("max-outer", 50)))
       .with_tolerance(static_cast<real_t>(opts.get_double("tol", 1e-5)))
@@ -424,8 +403,8 @@ int cmd_cpd(const Options& opts) {
       static_cast<std::size_t>(opts.get_int("block", 50));
 
   const std::string variant = opts.get_string("variant", "blocked");
-  AOADMM_CHECK_MSG(variant == "blocked" || variant == "base",
-                   "--variant must be blocked|base");
+  require(variant == "blocked" || variant == "base",
+          "--variant must be blocked|base");
   config.variant =
       variant == "blocked" ? AdmmVariant::kBlocked : AdmmVariant::kBaseline;
 
@@ -437,20 +416,19 @@ int cmd_cpd(const Options& opts) {
   } else if (fmt == "auto") {
     config.leaf_format = LeafFormat::kAuto;
   } else {
-    AOADMM_CHECK_MSG(fmt == "dense",
-                     "--format must be dense|csr|csr-h|auto");
+    require(fmt == "dense", "--format must be dense|csr|csr-h|auto");
   }
 
   const ConstraintSpec constraint = parse_cli_constraint(opts);
   const std::string objective = opts.get_string("objective", "ls");
-  AOADMM_CHECK_MSG(objective == "ls" || objective == "observed",
-                   "--objective must be ls|observed");
+  require(objective == "ls" || objective == "observed",
+          "--objective must be ls|observed");
   const LossSpec loss = parse_loss_spec(opts.get_string(
       "loss", objective == "observed" ? "frobenius:masked" : "frobenius"));
-  AOADMM_CHECK_MSG(objective == "ls" || (loss.kind == LossKind::kFrobenius &&
-                                         loss.masked),
-                   "--objective observed means --loss frobenius:masked; pass "
-                   "one or the other");
+  require(objective == "ls" || (loss.kind == LossKind::kFrobenius &&
+                                loss.masked),
+          "--objective observed means --loss frobenius:masked; pass "
+          "one or the other");
   const bool generalized_loss =
       loss.kind != LossKind::kFrobenius || loss.masked;
 
@@ -517,8 +495,8 @@ int cmd_cpd(const Options& opts) {
   const auto export_observability = [&] {
     if (metrics_path) {
       std::ofstream out(*metrics_path);
-      AOADMM_CHECK_MSG(static_cast<bool>(out),
-                       "cannot write metrics to " + *metrics_path);
+      require(static_cast<bool>(out),
+              "cannot write metrics to " + *metrics_path);
       out << "{\n  \"iterations\": [" << iter_json.str()
           << (first_snapshot ? "]" : "\n  ]") << ",\n  \"registry\": ";
       obs::MetricsRegistry::global().write_json(out);
@@ -528,8 +506,7 @@ int cmd_cpd(const Options& opts) {
     if (chrome_path) {
       obs::profiling_stop();
       std::ofstream out(*chrome_path);
-      AOADMM_CHECK_MSG(static_cast<bool>(out),
-                       "cannot write trace to " + *chrome_path);
+      require(static_cast<bool>(out), "cannot write trace to " + *chrome_path);
       obs::write_chrome_trace(out);
       std::printf("chrome trace written to %s (open in chrome://tracing)\n",
                   chrome_path->c_str());
@@ -574,10 +551,9 @@ int cmd_cpd(const Options& opts) {
   TileResidency::Stats residency{};
   std::size_t shard_count = 1;
   if (const auto couple_path = opts.get("couple")) {
-    AOADMM_CHECK_MSG(!resume_path && !opts.has("checkpoint"),
-                     "--couple does not support checkpoint/resume");
-    AOADMM_CHECK_MSG(!sharded,
-                     "--couple does not support --shards/--spill-dir");
+    require(!resume_path && !opts.has("checkpoint"),
+            "--couple does not support checkpoint/resume");
+    require(!sharded, "--couple does not support --shards/--spill-dir");
     CoupledMatrix cm;
     cm.y = read_matrix_file(*couple_path);
     cm.mode = static_cast<std::size_t>(opts.get_int("couple-mode", 0));
@@ -605,9 +581,7 @@ int cmd_cpd(const Options& opts) {
 
   std::printf("\nvariant         : %s / %s leaf\n", to_string(config.variant),
               to_string(config.leaf_format));
-  std::printf("mttkrp          : kernel %s / schedule %s%s\n",
-              to_string(kernel), to_string(schedule),
-              csf && csf->tiled() ? " / tiled" : "");
+  std::printf("mttkrp          : kernel %s\n", to_string(kernel));
   if (sharded) {
     std::printf("shards          : %zu  exchange %llu msgs / %.2f MiB%s\n",
                 shard_count,
@@ -669,8 +643,7 @@ int cmd_cpd(const Options& opts) {
   // The trace as CSV, or as the fig-6-style JSON when the path ends in .json.
   if (const auto trace_path = opts.get("trace")) {
     std::ofstream out(*trace_path);
-    AOADMM_CHECK_MSG(static_cast<bool>(out),
-                     "cannot write trace to " + *trace_path);
+    require(static_cast<bool>(out), "cannot write trace to " + *trace_path);
     if (has_suffix(*trace_path, ".json")) {
       r.trace.write_json(out);
     } else {
@@ -702,8 +675,8 @@ int cmd_stream_replay(const Options& opts, const std::string& input) {
   // Telemetry plane: live endpoint, file mode, event journal.
   if (opts.has("telemetry-port")) {
     cfg.telemetry.port = static_cast<int>(opts.get_int("telemetry-port", 0));
-    AOADMM_CHECK_MSG(cfg.telemetry.port >= 0 && cfg.telemetry.port <= 65535,
-                     "--telemetry-port must be in [0, 65535]");
+    require(cfg.telemetry.port >= 0 && cfg.telemetry.port <= 65535,
+            "--telemetry-port must be in [0, 65535]");
     // Announce the bound port on stdout so a scraper driving this process
     // (CI) can discover an ephemeral binding.
     cfg.telemetry.on_ready = [](std::uint16_t port) {
@@ -730,8 +703,8 @@ int cmd_stream_replay(const Options& opts, const std::string& input) {
     cfg.fault.wal.fsync = WalFsync::kEveryN;
     cfg.fault.wal.fsync_every_n =
         static_cast<std::uint64_t>(std::strtoull(fsync.c_str(), nullptr, 10));
-    AOADMM_CHECK_MSG(cfg.fault.wal.fsync_every_n > 0,
-                     "--wal-fsync must be never, batch, or a positive count");
+    require(cfg.fault.wal.fsync_every_n > 0,
+            "--wal-fsync must be never, batch, or a positive count");
   }
   if (opts.has("wal-segment-bytes")) {
     cfg.fault.wal.segment_max_bytes =
@@ -827,8 +800,7 @@ int cmd_stream_replay(const Options& opts, const std::string& input) {
 
   if (const auto metrics_path = opts.get("metrics-json")) {
     std::ofstream out(*metrics_path);
-    AOADMM_CHECK_MSG(static_cast<bool>(out),
-                     "cannot write metrics to " + *metrics_path);
+    require(static_cast<bool>(out), "cannot write metrics to " + *metrics_path);
     out << "{\n  \"refreshes\": [";
     for (std::size_t i = 0; i < r.refreshes.size(); ++i) {
       const RefreshReport& ref = r.refreshes[i];
@@ -859,6 +831,39 @@ void usage() {
                "see the header comment of examples/tensor_tool.cpp\n");
 }
 
+/// Run the command `opts` names; returns its exit code.
+int run_command(const Options& opts) {
+  // Flag spelling: `tensor_tool --stream-replay t.tns [...]` (the flag
+  // consumes the input path as its value).
+  if (opts.has("stream-replay")) {
+    return cmd_stream_replay(opts, opts.get_string("stream-replay", ""));
+  }
+  if (opts.positional().empty()) {
+    usage();
+    return 2;
+  }
+  const std::string& cmd = opts.positional()[0];
+  if (cmd == "generate") {
+    return cmd_generate(opts);
+  }
+  if (cmd == "stats") {
+    return cmd_stats(opts);
+  }
+  if (cmd == "convert") {
+    return cmd_convert(opts);
+  }
+  if (cmd == "cpd") {
+    return cmd_cpd(opts);
+  }
+  if (cmd == "stream-replay") {
+    require(opts.positional().size() >= 2,
+            "usage: tensor_tool stream-replay <file> [options]");
+    return cmd_stream_replay(opts, opts.positional()[1]);
+  }
+  usage();
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -873,35 +878,15 @@ int main(int argc, char** argv) {
                    "armed\n");
     }
     const Options opts(argc, argv);
-    // Flag spelling: `tensor_tool --stream-replay t.tns [...]` (the flag
-    // consumes the input path as its value).
-    if (opts.has("stream-replay")) {
-      return cmd_stream_replay(opts, opts.get_string("stream-replay", ""));
+    const int rc = run_command(opts);
+    // A misspelt or unsupported flag would otherwise be dropped silently.
+    for (const std::string& name : opts.unused()) {
+      std::fprintf(stderr,
+                   "tensor_tool: warning: --%s is not used by this command "
+                   "and was ignored\n",
+                   name.c_str());
     }
-    if (opts.positional().empty()) {
-      usage();
-      return 2;
-    }
-    const std::string& cmd = opts.positional()[0];
-    if (cmd == "generate") {
-      return cmd_generate(opts);
-    }
-    if (cmd == "stats") {
-      return cmd_stats(opts);
-    }
-    if (cmd == "convert") {
-      return cmd_convert(opts);
-    }
-    if (cmd == "cpd") {
-      return cmd_cpd(opts);
-    }
-    if (cmd == "stream-replay") {
-      AOADMM_CHECK_MSG(opts.positional().size() >= 2,
-                       "usage: tensor_tool stream-replay <file> [options]");
-      return cmd_stream_replay(opts, opts.positional()[1]);
-    }
-    usage();
-    return 2;
+    return rc;
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

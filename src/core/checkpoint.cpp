@@ -266,22 +266,30 @@ CpdCheckpoint read_checkpoint(std::istream& in) {
   ck.mttkrp_count = r.u64();
   ck.sparse_mttkrp_count = r.u64();
 
-  const std::uint64_t nfactors = r.u64();
-  if (nfactors != order) {
-    throw ParseError("checkpoint: factor count does not match tensor order");
-  }
-  ck.factors.reserve(nfactors);
-  for (std::uint64_t i = 0; i < nfactors; ++i) {
-    ck.factors.push_back(r.matrix());
-  }
-  const std::uint64_t nduals = r.u64();
-  if (nduals != order) {
-    throw ParseError("checkpoint: dual count does not match tensor order");
-  }
-  ck.duals.reserve(nduals);
-  for (std::uint64_t i = 0; i < nduals; ++i) {
-    ck.duals.push_back(r.matrix());
-  }
+  // A resume moves the matrices straight into the solver, whose kernels
+  // trust that matrix m is dims[m] x rank, as the header says.
+  const auto read_mode_matrices = [&](std::vector<Matrix>& into,
+                                      const char* what) {
+    if (r.u64() != order) {
+      throw ParseError(std::string("checkpoint: ") + what +
+                       " count does not match tensor order");
+    }
+    into.reserve(order);
+    for (std::uint64_t m = 0; m < order; ++m) {
+      into.push_back(r.matrix());
+      const Matrix& a = into.back();
+      if (a.rows() != ck.dims[m] || a.cols() != ck.rank) {
+        throw ParseError("checkpoint: " + std::string(what) + " " +
+                         std::to_string(m) + " is " +
+                         std::to_string(a.rows()) + " x " +
+                         std::to_string(a.cols()) + ", but the header says " +
+                         std::to_string(ck.dims[m]) + " x " +
+                         std::to_string(ck.rank));
+      }
+    }
+  };
+  read_mode_matrices(ck.factors, "factor");
+  read_mode_matrices(ck.duals, "dual");
 
   const std::uint64_t npoints = r.u64();
   for (std::uint64_t i = 0; i < npoints; ++i) {

@@ -54,8 +54,8 @@ struct CpdCheckpoint {
 };
 
 /// Serialize / deserialize a checkpoint. read_checkpoint throws ParseError
-/// on bad magic, version or real_t size mismatch, truncation, or checksum
-/// failure.
+/// on bad magic, version or real_t size mismatch, truncation, checksum
+/// failure, or a factor or dual whose shape is not dims[m] x rank.
 void write_checkpoint(const CpdCheckpoint& ck, std::ostream& out);
 CpdCheckpoint read_checkpoint(std::istream& in);
 

@@ -236,14 +236,6 @@ ValidationReport CpdConfig::validate(std::size_t order) const {
             " takes the generalized per-row split solve, which walks the CSF "
             "tree directly and supports only leaf_format=dense");
   }
-  if (generalized_loss && mttkrp_kernel == MttkrpKernel::kTiled) {
-    add(Severity::kError, "loss",
-        std::string("loss ") + to_cli_string(loss) +
-            " takes the generalized per-row split solve and is incompatible "
-            "with the tiled MTTKRP kernel (tiles split a root's non-zeros "
-            "across buckets, so per-row systems cannot be assembled); unset "
-            "mttkrp_kernel=tiled");
-  }
   if (generalized_loss && (mttkrp_kernel == MttkrpKernel::kDimTree ||
                            mttkrp_kernel == MttkrpKernel::kAlto)) {
     add(Severity::kError, "loss",
@@ -297,15 +289,6 @@ ValidationReport CpdConfig::validate(std::size_t order) const {
     }
   }
 
-  // MTTKRP driver knobs. The tiled kernel only exists for the dense leaf
-  // path (tiles re-bucket the raw non-zeros, not a compressed leaf factor).
-  if (mttkrp_kernel == MttkrpKernel::kTiled &&
-      leaf_format != LeafFormat::kDense) {
-    add(Severity::kError, "mttkrp_kernel",
-        std::string("the tiled MTTKRP kernel supports only the DENSE leaf "
-                    "format, but leaf_format is ") +
-            to_string(leaf_format));
-  }
   // The cached-intermediate kernels read the raw factors every refresh, so
   // a compressed leaf mirror can never be consulted: reject rather than
   // silently ignore the leaf_format request.
@@ -317,20 +300,6 @@ ValidationReport CpdConfig::validate(std::size_t order) const {
             " MTTKRP kernel supports only the DENSE leaf format, but "
             "leaf_format is " +
             to_string(leaf_format));
-  }
-  if (mttkrp_kernel == MttkrpKernel::kOneTree &&
-      mttkrp_schedule == MttkrpSchedule::kDynamic) {
-    add(Severity::kWarning, "mttkrp_schedule",
-        "mttkrp_schedule=dynamic puts the one-tree kernel back on the "
-        "per-element atomic scatter path (the ablation baseline); use "
-        "auto/weighted/owner for the atomic-free kernels");
-  }
-  if (mttkrp_kernel == MttkrpKernel::kAlto &&
-      mttkrp_schedule == MttkrpSchedule::kDynamic) {
-    add(Severity::kWarning, "mttkrp_schedule",
-        "mttkrp_schedule=dynamic runs the ALTO kernel through the atomic "
-        "scatter path; use auto/weighted/owner for the deterministic "
-        "privatized or owner-computes variants");
   }
 
   if (checkpoint_every > 0 && checkpoint_path.empty()) {

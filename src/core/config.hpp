@@ -5,7 +5,7 @@
 //    explicit type that states which of the two it means and rejects
 //    mismatched counts with a clear error instead of a deep assert.
 //  * CpdConfig is the single source of truth for every solver knob —
-//    rank, tolerances, ADMM options, loss, kernel/schedule selection,
+//    rank, tolerances, ADMM options, loss, kernel selection,
 //    constraints, checkpoint policy — behind chainable with_* setters and
 //    a validate() that returns structured diagnostics (field, severity,
 //    actionable message) rather than asserting; callers like tensor_tool
@@ -125,9 +125,9 @@ struct CpdConfig {
   AdmmVariant variant = AdmmVariant::kBlocked;
   /// Leaf-factor storage during MTTKRP (Table II: DENSE / CSR / CSR-H).
   LeafFormat leaf_format = LeafFormat::kDense;
-  /// MTTKRP driver; kAuto follows the CsfSet (a tiled set runs kTiled).
+  /// MTTKRP driver; kAuto follows the CsfSet (resolve_auto_kernel). The
+  /// scatter kernels always run the kAuto schedule cost model.
   MttkrpKernel mttkrp_kernel = MttkrpKernel::kAuto;
-  MttkrpSchedule mttkrp_schedule = MttkrpSchedule::kAuto;
   /// Exploit factor sparsity only below this density (paper: 20%).
   real_t sparsity_threshold = 0.20;
   std::uint64_t seed = 123;
@@ -169,10 +169,6 @@ struct CpdConfig {
   }
   CpdConfig& with_mttkrp_kernel(MttkrpKernel k) {
     mttkrp_kernel = k;
-    return *this;
-  }
-  CpdConfig& with_mttkrp_schedule(MttkrpSchedule s) {
-    mttkrp_schedule = s;
     return *this;
   }
   CpdConfig& with_sparsity_threshold(real_t t) {

@@ -19,9 +19,8 @@
 // over the unobserved cells (KL: slope 1); masked losses have c = 0.
 //
 // The split state (t, u_t) lives per non-zero of each mode's tree and
-// warm-starts across outer iterations. Requires an untiled
-// CsfStrategy::kAllMode compilation (per-row systems are assembled from
-// mode-rooted subtrees).
+// warm-starts across outer iterations. Requires a CsfStrategy::kAllMode
+// compilation (per-row systems are assembled from mode-rooted subtrees).
 #pragma once
 
 #include <cstdint>

@@ -335,18 +335,15 @@ ModeSystem LocalStep::produce_k(unsigned outer, std::size_t m, bool retry) {
     gram_product(m);
   }
 
-  // A tiled set has no single tree per mode; the tiled kernel takes the
-  // whole TiledCsf below and everything tree-specific is skipped.
-  const CsfTensor* tree = csf_.tiled() ? nullptr : &csf_.for_mode(m);
+  const CsfTensor& tree = csf_.for_mode(m);
   Timer kernel;
   bool used_sparse = false;
   // Compressed leaf factor: the leaf mode of this tree is the factor read
   // once per non-zero — the only one worth compressing (paper §IV.C).
   // Sparse-leaf kernels exist for root-mode trees only (ALLMODE); a one-tree
   // set serves non-root modes through the scatter kernels.
-  if (tree != nullptr && config_.leaf_format != LeafFormat::kDense &&
-      tree->level_mode(0) == m) {
-    const std::size_t leaf_mode = tree->level_mode(factors.size() - 1);
+  if (config_.leaf_format != LeafFormat::kDense && tree.level_mode(0) == m) {
+    const std::size_t leaf_mode = tree.level_mode(factors.size() - 1);
     SparseFactorCache::Mirror mirror;
     {
       AOADMM_PROFILE_SCOPE("cpd/sparse_mirror");
@@ -356,25 +353,17 @@ ModeSystem LocalStep::produce_k(unsigned outer, std::size_t m, bool retry) {
     }
     if (mirror.csr != nullptr) {
       const ScopedTimer t(kernel);
-      mttkrp_csf_csr(*tree, factors, *mirror.csr, ws.mttkrp_out,
-                     config_.mttkrp_schedule);
+      mttkrp_csf_csr(tree, factors, *mirror.csr, ws.mttkrp_out);
       used_sparse = true;
     } else if (mirror.hybrid != nullptr) {
       const ScopedTimer t(kernel);
-      mttkrp_csf_hybrid(*tree, factors, *mirror.hybrid, ws.mttkrp_out,
-                        config_.mttkrp_schedule);
+      mttkrp_csf_hybrid(tree, factors, *mirror.hybrid, ws.mttkrp_out);
       used_sparse = true;
     }
   }
   if (!used_sparse) {
     const ScopedTimer t(kernel);
-    if (tree == nullptr) {
-      mttkrp_tiled(csf_.tiled_for_mode(m), factors, ws.mttkrp_out,
-                   config_.mttkrp_schedule);
-    } else {
-      mttkrp_dispatch(*tree, factors, m, ws.mttkrp_out,
-                      config_.mttkrp_schedule, kernel_, &ws.dimtree);
-    }
+    mttkrp_dispatch(tree, factors, m, ws.mttkrp_out, kernel_, &ws.dimtree);
   }
   testing::maybe_inject_nan(ws.mttkrp_out);
   return {&ws.mttkrp_out, kernel.seconds(), used_sparse};
@@ -408,23 +397,6 @@ CpdResult resume_into(CpdCheckpoint& ck, cspan<index_t> dims, rank_t rank,
 
 MttkrpKernel resolve_kernel(const CsfSet& csf, MttkrpKernel kernel,
                             LeafFormat leaf_format, rank_t rank) {
-  if (csf.tiled()) {
-    if (kernel != MttkrpKernel::kAuto && kernel != MttkrpKernel::kTiled) {
-      throw InvalidArgument(
-          std::string("CsfSet holds tiled compilations but mttkrp_kernel=") +
-          to_string(kernel) + "; use kTiled or kAuto (or build the CsfSet "
-          "with tile_rows = 0)");
-    }
-    if (leaf_format != LeafFormat::kDense) {
-      throw InvalidArgument(
-          "tiled MTTKRP supports only the DENSE leaf format; rebuild the "
-          "CsfSet untiled to use compressed leaf factors");
-    }
-  } else if (kernel == MttkrpKernel::kTiled) {
-    throw InvalidArgument(
-        "mttkrp_kernel=tiled but the CsfSet was built without tiling; "
-        "construct it with tile_rows > 0");
-  }
   if (kernel == MttkrpKernel::kAllMode &&
       csf.strategy() != CsfStrategy::kAllMode) {
     throw InvalidArgument(
@@ -455,7 +427,7 @@ MttkrpKernel resolve_kernel(const CsfSet& csf, MttkrpKernel kernel,
         "mttkrp_kernel=alto: mode index bits exceed the 64-bit linearized "
         "code; use onetree or dimtree for this tensor");
   }
-  return resolve_auto_kernel(kernel, csf.strategy(), csf.tiled(),
+  return resolve_auto_kernel(kernel, csf.strategy(), /*tiled=*/false,
                              leaf_format == LeafFormat::kDense, csf.order(),
                              csf.dims(), csf.nnz(), rank);
 }

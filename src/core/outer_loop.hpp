@@ -193,7 +193,7 @@ class QuadraticStep : public OuterLoopStep {
 };
 
 /// The local step: K from the CsfSet's MTTKRP kernels (compressed leaves,
-/// tiled or dimension-tree as configured). cpd_als and coupled_factorize
+/// ALTO or dimension-tree as configured). cpd_als and coupled_factorize
 /// derive from it to replace the update or extend K.
 class LocalStep : public QuadraticStep {
  public:
@@ -218,7 +218,7 @@ CpdResult resume_into(CpdCheckpoint& ck, cspan<index_t> dims, rank_t rank,
 
 /// The MTTKRP kernel a local solve runs: `requested` checked against the
 /// compiled CsfSet (InvalidArgument when it cannot run there — wrong
-/// strategy, tiling, order or index width), then kAuto resolved by
+/// strategy, order or index width), then kAuto resolved by
 /// resolve_auto_kernel. Shared by CpdSolver, cpd_als and coupled_factorize.
 MttkrpKernel resolve_kernel(const CsfSet& csf, MttkrpKernel requested,
                             LeafFormat leaf_format, rank_t rank);

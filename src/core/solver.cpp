@@ -60,13 +60,8 @@ CpdSolver::CpdSolver(const CsfSet& csf, CpdConfig config)
   if (!loss_->quadratic()) {
     // The generalized path assembles per-row systems from mode-rooted
     // subtrees: validate() already rejects the config-side combinations
-    // (tiled kernel, compressed leaves); the CsfSet itself is checked here.
-    if (csf_.tiled()) {
-      throw InvalidArgument(
-          std::string("loss ") + loss_->name() +
-          " needs untiled mode-rooted trees; rebuild the CsfSet with "
-          "tile_rows = 0");
-    }
+    // (cached-partial kernels, compressed leaves); the CsfSet itself is
+    // checked here.
     if (csf_.strategy() != CsfStrategy::kAllMode) {
       throw InvalidArgument(
           std::string("loss ") + loss_->name() +

@@ -202,8 +202,7 @@ void ShardedCpdSolver::worker_main(std::size_t shard) {
         }
         // Every mode is served from the single tile tree (root or scatter
         // kernels) — the sharded equivalent of mttkrp_kernel=onetree.
-        mttkrp_dispatch(*tile, w.local_factors, m.mode, w.out,
-                        config_.mttkrp_schedule);
+        mttkrp_dispatch(*tile, w.local_factors, m.mode, w.out);
         if (residency_) {
           residency_->release(shard);
         }

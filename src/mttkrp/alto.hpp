@@ -6,8 +6,7 @@
 // (perfectly even by construction), which load-balances power-law tensors
 // whose root-slice weights defeat CSF fiber splitting. Scatter reductions
 // reuse the CSF non-root machinery: per-thread privatized copies
-// (kWeighted), owner-computes slot buffers + fixup (kOwner), per-element
-// atomics (kDynamic ablation baseline).
+// (kWeighted) or owner-computes slot buffers + fixup (kOwner).
 #pragma once
 
 #include "la/matrix.hpp"
@@ -18,8 +17,8 @@ namespace aoadmm {
 
 /// K = X(m)·KRP over the linearized index. `factors` is indexed by original
 /// mode id (same contract as the CSF kernels); `out` is resized to
-/// (I_m, F) and overwritten. Bitwise deterministic for a fixed thread count
-/// under kWeighted/kOwner.
+/// (I_m, F) and overwritten. Bitwise deterministic for a fixed thread
+/// count.
 void mttkrp_alto(const AltoTensor& alto, cspan<const Matrix> factors,
                  std::size_t target_mode, Matrix& out,
                  MttkrpSchedule schedule = MttkrpSchedule::kAuto);

@@ -491,14 +491,11 @@ void DimTreeEngine::mttkrp(const CsfTensor& csf, cspan<const Matrix> factors,
 namespace aoadmm {
 
 MttkrpKernel resolve_auto_kernel(MttkrpKernel requested, CsfStrategy strategy,
-                                 bool tiled, bool dense_leaf,
+                                 bool /*tiled*/, bool dense_leaf,
                                  std::size_t order, cspan<index_t> dims,
                                  offset_t nnz, rank_t rank) {
   if (requested != MttkrpKernel::kAuto) {
     return requested;
-  }
-  if (tiled) {
-    return MttkrpKernel::kTiled;
   }
   if (strategy == CsfStrategy::kAllMode) {
     // One race-free root tree per mode: the per-mode root kernel is already
@@ -547,27 +544,23 @@ MttkrpKernel resolve_auto_kernel(MttkrpKernel requested, CsfStrategy strategy,
 }
 
 void mttkrp_dispatch(const CsfTensor& csf, cspan<const Matrix> factors,
-                     std::size_t target_mode, Matrix& out,
-                     MttkrpSchedule schedule, MttkrpKernel kernel,
+                     std::size_t target_mode, Matrix& out, MttkrpKernel kernel,
                      detail::DimTreeEngine* dimtree) {
   switch (kernel) {
     case MttkrpKernel::kDimTree:
       AOADMM_CHECK_MSG(dimtree != nullptr,
                        "kDimTree dispatch needs a DimTreeEngine");
-      dimtree->mttkrp(csf, factors, target_mode, out, schedule);
+      dimtree->mttkrp(csf, factors, target_mode, out);
       return;
     case MttkrpKernel::kAlto:
-      mttkrp_alto(csf.alto_index(), factors, target_mode, out, schedule);
+      mttkrp_alto(csf.alto_index(), factors, target_mode, out);
       return;
-    case MttkrpKernel::kTiled:
-      throw InvalidArgument(
-          "kTiled must dispatch through mttkrp_tiled on a tiled CsfSet");
     case MttkrpKernel::kAuto:
     case MttkrpKernel::kAllMode:
     case MttkrpKernel::kOneTree:
       break;
   }
-  mttkrp_dispatch(csf, factors, target_mode, out, schedule);
+  mttkrp_dispatch(csf, factors, target_mode, out);
 }
 
 }  // namespace aoadmm

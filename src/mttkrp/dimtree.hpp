@@ -48,11 +48,11 @@ class DimTreeEngine {
   DimTreeEngine() = default;
 
   /// MTTKRP for original mode `target_mode` over `csf` (which must be a
-  /// single untiled tree of order >= 3 containing every mode — i.e. the
-  /// tree of a kOneMode CsfSet). Rebinding to a different tree or rank
-  /// drops every cached partial. The scatter for non-root targets uses the
-  /// privatized per-thread reduction (deterministic for a fixed thread
-  /// count); `schedule` kDynamic/kOwner degrade to the same path.
+  /// single tree of order >= 3 containing every mode — i.e. the tree of a
+  /// kOneMode CsfSet). Rebinding to a different tree or rank drops every
+  /// cached partial. The scatter for non-root targets uses the privatized
+  /// per-thread reduction (deterministic for a fixed thread count);
+  /// `schedule` kOwner degrades to the same path.
   void mttkrp(const CsfTensor& csf, cspan<const Matrix> factors,
               std::size_t target_mode, Matrix& out,
               MttkrpSchedule schedule = MttkrpSchedule::kAuto);

@@ -6,13 +6,13 @@
 //  * mttkrp_csf_csr    — leaf-level factor compressed to CSR (paper §IV.C).
 //  * mttkrp_csf_hybrid — leaf factor in hybrid dense+CSR with prefetch.
 //  * mttkrp_csf_nonroot— non-root target over a single tree (one-tree mode).
-//  * mttkrp_tiled      — root kernel over a leaf-tiled compilation.
 //  * mttkrp_coo        — serial COO reference used as the test oracle.
 //
-// The root-mode CSF kernels parallelize over root slices (race-free);
-// `factors` is indexed by ORIGINAL mode id and all matrices must share the
-// same rank F. Every parallel kernel takes an MttkrpSchedule policy
-// controlling how work maps to threads (see below and docs/performance.md).
+// The root-mode CSF kernels parallelize over nnz-weighted static chunks of
+// root slices (race-free); `factors` is indexed by ORIGINAL mode id and all
+// matrices must share the same rank F. The scatter kernels (non-root, ALTO,
+// dimension tree) take an MttkrpSchedule policy controlling how the
+// reduction maps to threads (see below and docs/performance.md).
 #pragma once
 
 #include "la/matrix.hpp"
@@ -36,23 +36,20 @@ enum class LeafFormat {
 
 const char* to_string(LeafFormat f) noexcept;
 
-/// How MTTKRP work maps to threads.
-///  * kDynamic  — the legacy policy: uniform schedule(dynamic, 16) loops;
-///    non-root targets scatter with per-element atomics. Kept as an explicit
-///    fallback/ablation baseline only.
-///  * kWeighted — precomputed nnz-weighted static root chunks (cached on the
-///    CsfTensor); non-root targets use a privatized reduction (per-thread
-///    dense output copies + partitioned parallel reduction).
-///  * kOwner    — weighted root chunks with owner-computes non-root scatter:
-///    rows touched by one chunk are written directly, rows shared between
-///    chunks go through compact per-thread slot buffers plus a fixup pass.
-///    Root-mode targets behave like kWeighted (they are owner-computes by
-///    construction).
+/// How a scatter kernel's non-root reduction maps to threads. Both
+/// explicit policies walk precomputed nnz-weighted static root chunks
+/// (cached on the CsfTensor) and are bitwise deterministic for a fixed
+/// thread count.
+///  * kWeighted — privatized reduction: per-thread dense output copies +
+///    partitioned parallel reduction.
+///  * kOwner    — owner-computes: rows touched by one chunk are written
+///    directly, rows shared between chunks go through compact per-thread
+///    slot buffers plus a fixup pass.
 ///  * kAuto     — cost model: kWeighted while the per-thread output copy is
-///    small, kOwner for large target modes. The default.
+///    small, kOwner for large target modes. The default, and the only
+///    policy the CPD drivers use.
 enum class MttkrpSchedule {
   kAuto,
-  kDynamic,
   kWeighted,
   kOwner,
 };
@@ -64,21 +61,19 @@ const char* to_string(MttkrpSchedule s) noexcept;
 ///    ALLMODE CsfSet).
 ///  * kOneTree — a single tree; non-root modes go through
 ///    mttkrp_csf_nonroot (needs a ONEMODE CsfSet).
-///  * kTiled   — leaf-tiled root kernel per mode (needs a tiled CsfSet).
 ///  * kDimTree — dimension-tree engine over a single tree: per-level
 ///    partial contractions are cached across the cyclic mode sweep and
-///    invalidated per factor update (needs an untiled ONEMODE CsfSet of
-///    order >= 3; see mttkrp/dimtree.hpp).
+///    invalidated per factor update (needs a ONEMODE CsfSet of order >= 3;
+///    see mttkrp/dimtree.hpp).
 ///  * kAlto    — bit-interleaved linearized kernel: one mode-agnostic
-///    sorted non-zero stream serves every target mode (needs an untiled
-///    ONEMODE CsfSet with alto_linearizable dims; see mttkrp/alto.hpp).
+///    sorted non-zero stream serves every target mode (needs a ONEMODE
+///    CsfSet with alto_linearizable dims; see mttkrp/alto.hpp).
 ///  * kAuto    — data-driven choice from the compilation strategy, order,
 ///    density and mode-length skew (resolve_auto_kernel). The default.
 enum class MttkrpKernel {
   kAuto,
   kAllMode,
   kOneTree,
-  kTiled,
   kDimTree,
   kAlto,
 };
@@ -99,10 +94,6 @@ MttkrpSchedule resolve_nonroot_schedule(MttkrpSchedule s, index_t out_rows,
                                         std::size_t rank,
                                         int nthreads) noexcept;
 
-/// Resolve the policy for a root-mode (race-free) kernel: kAuto and kOwner
-/// collapse to kWeighted; kDynamic stays dynamic. Never returns kAuto.
-MttkrpSchedule resolve_root_schedule(MttkrpSchedule s) noexcept;
-
 class DimTreeEngine;  // mttkrp/dimtree.hpp
 
 }  // namespace detail
@@ -115,15 +106,16 @@ inline constexpr rank_t kDimTreeMaxRank = 64;
 
 /// Data-driven kAuto kernel resolution (the selection heuristic behind the
 /// CPD drivers; logged at AOADMM_LOG_LEVEL=debug). A non-kAuto `requested`
-/// is returned unchanged. Otherwise: tiled sets take kTiled, ALLMODE sets
-/// the per-mode root kernel, and ONEMODE sets pick between kOneTree,
-/// kDimTree (order >= 4 and rank < kDimTreeMaxRank — the deeper the tree,
-/// the more the cached partials amortize, while high ranks blow the cache
-/// budget) and kAlto (order 3 with strong mode-length skew and low
-/// density, where even nnz splitting beats fiber splitting). `dense_leaf`
+/// is returned unchanged. Otherwise ALLMODE sets take the per-mode root
+/// kernel, and ONEMODE sets pick between kOneTree, kDimTree (order >= 4 and
+/// rank < kDimTreeMaxRank — the deeper the tree, the more the cached
+/// partials amortize, while high ranks blow the cache budget) and kAlto
+/// (order 3 with strong mode-length skew and low density, where even nnz
+/// splitting beats fiber splitting). `dense_leaf`
 /// must be false when a CSR/hybrid leaf mirror is in play — the cached-
 /// partial kernels require all-dense factors. `rank` 0 means unknown
-/// (treated as small).
+/// (treated as small). `tiled` is unused: only bench/e2e, which compiles
+/// against this signature, still passes it.
 MttkrpKernel resolve_auto_kernel(MttkrpKernel requested, CsfStrategy strategy,
                                  bool tiled, bool dense_leaf,
                                  std::size_t order, cspan<index_t> dims,
@@ -143,56 +135,40 @@ LeafFormat auto_select_leaf_format(offset_t nnz, std::size_t rows,
                                    real_t threshold);
 
 /// K = X(m)·KRP with all-dense factors, m = csf.level_mode(0). `out` is
-/// resized to (I_m, F) and overwritten (or accumulated into when
-/// `accumulate` is set — used by the tiled driver below).
+/// resized to (I_m, F) and overwritten.
 void mttkrp_csf(const CsfTensor& csf, cspan<const Matrix> factors,
-                Matrix& out, bool accumulate = false,
-                MttkrpSchedule schedule = MttkrpSchedule::kAuto);
-
-/// Root-mode MTTKRP over a tiled compilation (see TiledCsf in tensor/csf.hpp):
-/// tiles are processed in sequence inside ONE parallel region (order 3; the
-/// generic path re-enters per tile), accumulating into `out`. Per-tile wall
-/// times land in the "mttkrp/tiled/tile_seconds" histogram.
-void mttkrp_tiled(const TiledCsf& tiled, cspan<const Matrix> factors,
-                  Matrix& out,
-                  MttkrpSchedule schedule = MttkrpSchedule::kAuto);
+                Matrix& out);
 
 /// Leaf factor (original mode csf.level_mode(order-1)) read from `leaf`
 /// instead of `factors`; the other factors stay dense (paper: only C — the
 /// per-non-zero factor — is worth compressing).
 void mttkrp_csf_csr(const CsfTensor& csf, cspan<const Matrix> factors,
-                    const CsrMatrix& leaf, Matrix& out,
-                    MttkrpSchedule schedule = MttkrpSchedule::kAuto);
+                    const CsrMatrix& leaf, Matrix& out);
 
 void mttkrp_csf_hybrid(const CsfTensor& csf, cspan<const Matrix> factors,
-                       const HybridMatrix& leaf, Matrix& out,
-                       MttkrpSchedule schedule = MttkrpSchedule::kAuto);
+                       const HybridMatrix& leaf, Matrix& out);
 
 /// MTTKRP for a mode that is NOT the CSF root — the memory-efficient
 /// one-tree strategy. Works for any order and any internal/leaf target
-/// level. The scatter into shared output rows is atomic-free under the
-/// kWeighted (privatized reduction) and kOwner (owner-computes + fixup)
-/// policies; the per-element-atomic legacy kernel survives only behind the
-/// explicit kDynamic policy.
+/// level. The scatter into shared output rows is atomic-free: a privatized
+/// reduction (kWeighted) or owner-computes + fixup (kOwner).
 void mttkrp_csf_nonroot(const CsfTensor& csf, cspan<const Matrix> factors,
                         std::size_t target_mode, Matrix& out,
                         MttkrpSchedule schedule = MttkrpSchedule::kAuto);
 
 /// Dispatch on the tree: root-mode targets take the race-free root kernel,
-/// anything else the non-root reduction kernel.
+/// anything else the non-root reduction kernel under `schedule`.
 void mttkrp_dispatch(const CsfTensor& csf, cspan<const Matrix> factors,
                      std::size_t target_mode, Matrix& out,
                      MttkrpSchedule schedule = MttkrpSchedule::kAuto);
 
-/// Kernel-aware dispatch used by the solver loops. kDimTree routes through
-/// `dimtree` (required non-null then; the engine owns the cached partials),
-/// kAlto through the tree's lazily built linearized index
-/// (CsfTensor::alto_index()), everything else through the tree-shape
-/// dispatch above. kTiled cannot be dispatched from a single tree and
-/// throws.
+/// Kernel-aware dispatch used by the solver loops, under the kAuto
+/// schedule. kDimTree routes through `dimtree` (required non-null then; the
+/// engine owns the cached partials), kAlto through the tree's lazily built
+/// linearized index (CsfTensor::alto_index()), everything else through the
+/// tree-shape dispatch above.
 void mttkrp_dispatch(const CsfTensor& csf, cspan<const Matrix> factors,
-                     std::size_t target_mode, Matrix& out,
-                     MttkrpSchedule schedule, MttkrpKernel kernel,
+                     std::size_t target_mode, Matrix& out, MttkrpKernel kernel,
                      detail::DimTreeEngine* dimtree = nullptr);
 
 /// Serial reference implementation straight from the definition.

@@ -29,8 +29,6 @@ const char* to_string(MttkrpSchedule s) noexcept {
   switch (s) {
     case MttkrpSchedule::kAuto:
       return "auto";
-    case MttkrpSchedule::kDynamic:
-      return "dynamic";
     case MttkrpSchedule::kWeighted:
       return "weighted";
     case MttkrpSchedule::kOwner:
@@ -47,8 +45,6 @@ const char* to_string(MttkrpKernel k) noexcept {
       return "allmode";
     case MttkrpKernel::kOneTree:
       return "onetree";
-    case MttkrpKernel::kTiled:
-      return "tiled";
     case MttkrpKernel::kDimTree:
       return "dimtree";
     case MttkrpKernel::kAlto:
@@ -76,18 +72,10 @@ MttkrpSchedule resolve_nonroot_schedule(MttkrpSchedule s, index_t out_rows,
                                           : MttkrpSchedule::kOwner;
 }
 
-MttkrpSchedule resolve_root_schedule(MttkrpSchedule s) noexcept {
-  // The root kernel is owner-computes by construction (each output row is
-  // written by exactly one root iteration), so kOwner and kAuto both mean
-  // "weighted static chunks"; only kDynamic opts out.
-  return s == MttkrpSchedule::kDynamic ? MttkrpSchedule::kDynamic
-                                       : MttkrpSchedule::kWeighted;
-}
-
 }  // namespace detail
 
 void mttkrp_csf(const CsfTensor& csf, cspan<const Matrix> factors,
-                Matrix& out, bool accumulate, MttkrpSchedule schedule) {
+                Matrix& out) {
   AOADMM_CHECK(factors.size() == csf.order());
   const Matrix& leaf = factors[csf.level_mode(csf.order() - 1)];
   const std::size_t f = leaf.cols();
@@ -103,7 +91,7 @@ void mttkrp_csf(const CsfTensor& csf, cspan<const Matrix> factors,
                 leaf.data() + static_cast<std::size_t>(idx) * ff;
             detail::RowOps<R>::axpy(z, v, row, ff);
           },
-          out, accumulate, schedule);
+          out);
     });
   };
 

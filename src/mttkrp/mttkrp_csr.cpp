@@ -7,8 +7,7 @@
 namespace aoadmm {
 
 void mttkrp_csf_csr(const CsfTensor& csf, cspan<const Matrix> factors,
-                    const CsrMatrix& leaf, Matrix& out,
-                    MttkrpSchedule schedule) {
+                    const CsrMatrix& leaf, Matrix& out) {
   AOADMM_MTTKRP_OBS("csf_csr");
   AOADMM_CHECK(factors.size() == csf.order());
   const std::size_t leaf_mode = csf.level_mode(csf.order() - 1);
@@ -37,7 +36,7 @@ void mttkrp_csf_csr(const CsfTensor& csf, cspan<const Matrix> factors,
             z[cols[k]] += v * vals[k];
           }
         },
-        out, /*accumulate=*/false, schedule);
+        out);
   });
 }
 

@@ -7,8 +7,7 @@
 namespace aoadmm {
 
 void mttkrp_csf_hybrid(const CsfTensor& csf, cspan<const Matrix> factors,
-                       const HybridMatrix& leaf, Matrix& out,
-                       MttkrpSchedule schedule) {
+                       const HybridMatrix& leaf, Matrix& out) {
   AOADMM_MTTKRP_OBS("csf_hybrid");
   AOADMM_CHECK(factors.size() == csf.order());
   const std::size_t leaf_mode = csf.level_mode(csf.order() - 1);
@@ -43,7 +42,7 @@ void mttkrp_csf_hybrid(const CsfTensor& csf, cspan<const Matrix> factors,
             z[cols[k]] += v * vals[k];
           }
         },
-        out, /*accumulate=*/false, schedule);
+        out);
   });
 }
 

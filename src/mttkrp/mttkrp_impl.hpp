@@ -28,18 +28,6 @@ inline double mttkrp_now() noexcept {
       .count();
 }
 
-/// Element-wise atomic scatter of one rank-length row (the legacy kDynamic
-/// reduction, shared by the CSF non-root and ALTO kernels).
-inline void atomic_add_row(real_t* __restrict dst,
-                           const real_t* __restrict src, std::size_t f) {
-  for (std::size_t k = 0; k < f; ++k) {
-#if defined(AOADMM_HAVE_OPENMP)
-#pragma omp atomic
-#endif
-    dst[k] += src[k];
-  }
-}
-
 /// Pointer table shared across a team: per-thread private-accumulator base
 /// addresses, registered inside the region and read by the reduction pass.
 /// Inline storage for the common case so steady-state calls allocate
@@ -67,35 +55,23 @@ class BufferTable {
   int n_ = 0;
 };
 
-/// In-region driver for the loop over root nodes. With `bounds` (parts+1
-/// nnz-weighted boundaries from CsfTensor::root_partition), each thread
-/// strides over whole chunks — a static assignment that costs nothing per
-/// call and absorbs power-law slice costs; chunks beyond the team size are
+/// In-region driver for the loop over root nodes. `bounds` (parts+1
+/// nnz-weighted boundaries from CsfTensor::root_partition) assigns whole
+/// chunks to threads statically — a schedule that costs nothing per call
+/// and absorbs power-law slice costs; chunks beyond the team size are
 /// picked up round-robin, so correctness never depends on the planned and
-/// actual team sizes agreeing. Without bounds, the legacy
-/// schedule(dynamic, 16) worksharing loop runs (nowait: the enclosing
-/// region's barrier, or an explicit one, orders any cross-thread reads).
-/// Must be executed by every thread of the enclosing parallel region.
+/// actual team sizes agreeing. Must be executed by every thread of the
+/// enclosing parallel region.
 template <typename Body>
-inline void mttkrp_root_loop(std::ptrdiff_t nroots,
-                             const std::vector<std::size_t>* bounds, int tid,
+inline void mttkrp_root_loop(const std::vector<std::size_t>& bounds, int tid,
                              int team, const Body& body) {
-  if (bounds != nullptr) {
-    const std::size_t parts = bounds->size() - 1;
-    const auto stride = static_cast<std::size_t>(team > 0 ? team : 1);
-    for (std::size_t c = static_cast<std::size_t>(tid); c < parts;
-         c += stride) {
-      for (std::size_t r = (*bounds)[c]; r < (*bounds)[c + 1]; ++r) {
-        body(static_cast<std::ptrdiff_t>(r));
-      }
+  const std::size_t parts = bounds.size() - 1;
+  const auto stride = static_cast<std::size_t>(team > 0 ? team : 1);
+  for (std::size_t c = static_cast<std::size_t>(tid); c < parts;
+       c += stride) {
+    for (std::size_t r = bounds[c]; r < bounds[c + 1]; ++r) {
+      body(static_cast<std::ptrdiff_t>(r));
     }
-    return;
-  }
-#if defined(AOADMM_HAVE_OPENMP)
-#pragma omp for schedule(dynamic, 16) nowait
-#endif
-  for (std::ptrdiff_t r = 0; r < nroots; ++r) {
-    body(r);
   }
 }
 
@@ -105,8 +81,7 @@ inline void mttkrp_root_loop(std::ptrdiff_t nroots,
 template <int R, typename LeafOp>
 void mttkrp_csf_skeleton(const CsfTensor& csf, cspan<const Matrix> factors,
                          std::size_t rank, const LeafOp& leaf_op,
-                         Matrix& out, bool accumulate = false,
-                         MttkrpSchedule schedule = MttkrpSchedule::kAuto) {
+                         Matrix& out) {
   using Ops = RowOps<R>;
   const std::size_t order = csf.order();
   AOADMM_CHECK(order >= 2);
@@ -116,12 +91,11 @@ void mttkrp_csf_skeleton(const CsfTensor& csf, cspan<const Matrix> factors,
   const index_t out_rows = csf.level_dim(0);
   if (out.rows() != out_rows || out.cols() != f) {
     out.resize(out_rows, f);  // resize zero-initializes
-  } else if (!accumulate) {
+  } else {
     out.zero();
   }
 
   const auto root_fids = csf.fids(0);
-  const auto nroots = static_cast<std::ptrdiff_t>(root_fids.size());
 
   // Dense factor rows for the internal levels 1..order-2, by CSF level.
   std::vector<const Matrix*> level_factor(order, nullptr);
@@ -130,12 +104,9 @@ void mttkrp_csf_skeleton(const CsfTensor& csf, cspan<const Matrix> factors,
     AOADMM_CHECK(level_factor[l]->cols() == f);
   }
 
-  const MttkrpSchedule sched = resolve_root_schedule(schedule);
   const int planned = max_threads();
-  const std::vector<std::size_t>* bounds =
-      sched == MttkrpSchedule::kWeighted ? &csf.root_partition(
-                                               static_cast<std::size_t>(planned))
-                                         : nullptr;
+  const std::vector<std::size_t>& bounds =
+      csf.root_partition(static_cast<std::size_t>(planned));
   obs::BusyTimes busy(planned, obs::RegionDomain::kMttkrp);
 
   if (order == 3) {
@@ -156,7 +127,7 @@ void mttkrp_csf_skeleton(const CsfTensor& csf, cspan<const Matrix> factors,
       const int tid = thread_id();
       const double t0 = mttkrp_now();
       mttkrp_root_loop(
-          nroots, bounds, tid, team_size(), [&](std::ptrdiff_t r) {
+          bounds, tid, team_size(), [&](std::ptrdiff_t r) {
             const auto rr = static_cast<std::size_t>(r);
             real_t* __restrict krow =
                 out.data() + static_cast<std::size_t>(root_fids[rr]) * f;
@@ -187,7 +158,7 @@ void mttkrp_csf_skeleton(const CsfTensor& csf, cspan<const Matrix> factors,
     const double t0 = mttkrp_now();
 
     mttkrp_root_loop(
-        nroots, bounds, tid, team_size(), [&](std::ptrdiff_t r) {
+        bounds, tid, team_size(), [&](std::ptrdiff_t r) {
           const auto rr = static_cast<std::size_t>(r);
           real_t* __restrict out_row =
               out.data() + static_cast<std::size_t>(root_fids[rr]) * f;

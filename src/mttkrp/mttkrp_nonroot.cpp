@@ -7,12 +7,8 @@
 // root→node path (excluding level t itself) and `up` is the usual upward
 // accumulation of value-scaled factor rows (excluding level t's row).
 // Distinct root subtrees can touch the same target-mode row, so the scatter
-// into K needs a reduction. Three strategies (MttkrpSchedule):
+// into K needs a reduction. Two strategies (MttkrpSchedule):
 //
-//  * kDynamic   — the legacy per-element-atomic scatter under a
-//                 schedule(dynamic, 16) root loop. Ablation baseline only:
-//                 a lock-prefixed RMW per double is several times the cost
-//                 of a plain SIMD add even without contention.
 //  * kWeighted  — privatized reduction: every thread accumulates into its
 //                 own dense copy of the output (persistent thread scratch),
 //                 walking nnz-weighted static root chunks; a partitioned
@@ -46,7 +42,6 @@
 namespace aoadmm {
 namespace {
 
-using detail::atomic_add_row;
 using detail::BufferTable;
 
 /// Depth-first walk of the root subtrees [lo, hi), delivering each target-
@@ -128,41 +123,6 @@ void walk_roots(const CsfTensor& csf, cspan<const Matrix> factors,
 
   for (std::size_t r = lo; r < hi; ++r) {
     walk(walk, 0, static_cast<offset_t>(r), nullptr);
-  }
-}
-
-/// Legacy atomic-scatter kernel behind the explicit kDynamic policy.
-template <int R>
-void nonroot_atomic(const CsfTensor& csf, cspan<const Matrix> factors,
-                    std::size_t t, std::size_t f, Matrix& out) {
-  const std::size_t order = csf.order();
-  const auto nroots = static_cast<std::ptrdiff_t>(csf.num_nodes(0));
-  const int planned = std::max(max_threads(), 1);
-  obs::BusyTimes busy(planned, obs::RegionDomain::kMttkrp);
-
-#if defined(AOADMM_HAVE_OPENMP)
-#pragma omp parallel
-#endif
-  {
-    real_t* const base = detail::mttkrp_thread_scratch((order + 1) * f);
-    real_t* const down_buf = base;
-    real_t* const up_buf = base + t * f;
-    real_t* const contrib = base + order * f;
-    const int tid = thread_id();
-    const double t0 = detail::mttkrp_now();
-    const auto scatter = [&](index_t row_id, const real_t* __restrict src) {
-      atomic_add_row(out.data() + static_cast<std::size_t>(row_id) * f, src,
-                     f);
-    };
-#if defined(AOADMM_HAVE_OPENMP)
-#pragma omp for schedule(dynamic, 16) nowait
-#endif
-    for (std::ptrdiff_t r = 0; r < nroots; ++r) {
-      walk_roots<R>(csf, factors, t, f, static_cast<std::size_t>(r),
-                    static_cast<std::size_t>(r) + 1, down_buf, up_buf,
-                    contrib, scatter);
-    }
-    busy.add(tid, detail::mttkrp_now() - t0);
   }
 }
 
@@ -370,9 +330,7 @@ void mttkrp_csf_nonroot(const CsfTensor& csf, cspan<const Matrix> factors,
 
   detail::rank_dispatch(f, [&](auto rc) {
     constexpr int R = decltype(rc)::value;
-    if (sched == MttkrpSchedule::kDynamic) {
-      nonroot_atomic<R>(csf, factors, t, f, out);
-    } else if (planned <= 1) {
+    if (planned <= 1) {
       nonroot_serial<R>(csf, factors, t, f, out);
     } else if (sched == MttkrpSchedule::kOwner) {
       nonroot_owner<R>(csf, factors, t, f, out, planned);
@@ -386,7 +344,7 @@ void mttkrp_dispatch(const CsfTensor& csf, cspan<const Matrix> factors,
                      std::size_t target_mode, Matrix& out,
                      MttkrpSchedule schedule) {
   if (csf.level_mode(0) == target_mode) {
-    mttkrp_csf(csf, factors, out, /*accumulate=*/false, schedule);
+    mttkrp_csf(csf, factors, out);
   } else {
     mttkrp_csf_nonroot(csf, factors, target_mode, out, schedule);
   }

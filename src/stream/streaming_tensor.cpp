@@ -356,7 +356,7 @@ const CsfSet& StreamingTensor::csf() {
     metrics.value_patches.add(1);
   } else {
     compact();
-    compiled_ = std::make_unique<CsfSet>(coo_, opts_.strategy, /*tile_rows=*/0,
+    compiled_ = std::make_unique<CsfSet>(coo_, opts_.strategy,
                                          /*track_value_patching=*/true);
     structural_dirty_ = false;
     for (const offset_t p : value_dirty_) {

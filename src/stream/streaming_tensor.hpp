@@ -57,8 +57,7 @@ struct StreamingOptions {
   /// next structural rebuild. Bounds the memory overhead of lazy eviction.
   double churn_threshold = 0.25;
 
-  /// CSF strategy for compilations (tiled compilations are unsupported:
-  /// they cannot be value-patched).
+  /// CSF strategy for compilations.
   CsfStrategy strategy = CsfStrategy::kAllMode;
 };
 

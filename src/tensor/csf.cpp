@@ -413,28 +413,14 @@ const char* to_string(CsfStrategy s) noexcept {
   return "?";
 }
 
-CsfSet::CsfSet(const CooTensor& coo, CsfStrategy strategy, index_t tile_rows,
+CsfSet::CsfSet(const CooTensor& coo, CsfStrategy strategy,
                bool track_value_patching)
     : order_(coo.order()),
       strategy_(strategy),
-      tile_rows_(tile_rows),
       dims_(coo.dims()),
       nnz_(coo.nnz()) {
   for (const real_t v : coo.values()) {
     norm_sq_ += v * v;
-  }
-  if (tile_rows_ > 0) {
-    // Tiling exists for the root-mode kernel only, so every mode needs a
-    // tree rooted at itself (validated as an error in CpdConfig too).
-    AOADMM_CHECK_MSG(strategy_ == CsfStrategy::kAllMode,
-                     "tiled CsfSet requires the ALLMODE strategy");
-    AOADMM_CHECK_MSG(!track_value_patching,
-                     "value patching is not supported for tiled CsfSets");
-    tiled_.reserve(order_);
-    for (std::size_t m = 0; m < order_; ++m) {
-      tiled_.emplace_back(coo, m, tile_rows_);
-    }
-    return;
   }
   const auto perm_slot = [&](std::size_t tree) -> std::vector<offset_t>* {
     if (!track_value_patching) {
@@ -486,23 +472,13 @@ void CsfSet::patch_values(const CooTensor& coo, cspan<offset_t> dirty) {
 }
 
 const CsfTensor& CsfSet::for_mode(std::size_t mode) const {
-  AOADMM_CHECK_MSG(!tiled(),
-                   "CsfSet holds tiled compilations; use tiled_for_mode()");
   return strategy_ == CsfStrategy::kAllMode ? tensors_.at(mode)
                                             : tensors_.at(0);
-}
-
-const TiledCsf& CsfSet::tiled_for_mode(std::size_t mode) const {
-  AOADMM_CHECK_MSG(tiled(), "CsfSet was not built with tile_rows > 0");
-  return tiled_.at(mode);
 }
 
 std::size_t CsfSet::storage_bytes() const noexcept {
   std::size_t bytes = 0;
   for (const CsfTensor& t : tensors_) {
-    bytes += t.storage_bytes();
-  }
-  for (const TiledCsf& t : tiled_) {
     bytes += t.storage_bytes();
   }
   return bytes;

@@ -165,36 +165,12 @@ class CsfTensor {
   std::shared_ptr<PlanCache> plans_ = std::make_shared<PlanCache>();
 };
 
-/// Leaf-mode cache tiling for the root-mode kernel (the blocking SPLATT
-/// applies when the per-non-zero factor exceeds cache): non-zeros are
-/// bucketed by leaf index range so each pass touches only `tile_rows` rows
-/// of the leaf factor, which then stay cache resident for the whole pass.
-class TiledCsf {
- public:
-  /// Compile `coo` for root-mode MTTKRP of `root`, tiling the leaf mode in
-  /// chunks of `tile_rows` (0 = one tile, i.e. no tiling). Empty tiles are
-  /// dropped.
-  TiledCsf(const CooTensor& coo, std::size_t root, index_t tile_rows);
-
-  std::size_t num_tiles() const noexcept { return tiles_.size(); }
-  const CsfTensor& tile(std::size_t t) const { return tiles_.at(t); }
-  std::size_t root_mode() const noexcept { return root_; }
-  index_t tile_rows() const noexcept { return tile_rows_; }
-  offset_t nnz() const noexcept;
-  std::size_t storage_bytes() const noexcept;
-
- private:
-  std::size_t root_ = 0;
-  index_t tile_rows_ = 0;
-  std::vector<CsfTensor> tiles_;
-};
-
 /// Memory/compute trade-off for the CSF compilation (SPLATT's -t flag):
 ///  * kAllMode — one tree per mode; every MTTKRP is root-parallel and
 ///    race-free. order() copies of the tensor. The paper's configuration.
 ///  * kOneMode — a single tree rooted at the shortest mode; non-root
-///    MTTKRPs scatter through a privatized/owner-computes reduction (or
-///    atomics under the explicit dynamic policy). 1/order() the memory.
+///    MTTKRPs scatter through a privatized/owner-computes reduction.
+///    1/order() the memory.
 enum class CsfStrategy {
   kAllMode,
   kOneMode,
@@ -205,30 +181,25 @@ const char* to_string(CsfStrategy s) noexcept;
 /// The compiled tensor handed to the CPD driver. for_mode(m) returns the
 /// tree MTTKRP for mode m should use; with kOneMode that tree's root may
 /// differ from m and callers must dispatch accordingly (mttkrp_dispatch).
-/// With tile_rows > 0 (requires kAllMode) each mode is compiled as a
-/// TiledCsf instead and callers go through tiled_for_mode()/mttkrp_tiled.
 class CsfSet {
  public:
   /// Compile every tree the strategy calls for. `track_value_patching`
   /// additionally records, per tree, where each COO non-zero's value landed
   /// (order x nnz offsets of extra memory) so later value-only updates can
   /// be patched into the compiled leaves via patch_values() instead of
-  /// re-sorting and rebuilding — the streaming fast path. Unsupported for
-  /// tiled compilations.
+  /// re-sorting and rebuilding — the streaming fast path.
   explicit CsfSet(const CooTensor& coo,
                   CsfStrategy strategy = CsfStrategy::kAllMode,
-                  index_t tile_rows = 0, bool track_value_patching = false);
+                  bool track_value_patching = false);
 
   std::size_t order() const noexcept { return order_; }
   CsfStrategy strategy() const noexcept { return strategy_; }
 
-  /// True when the set holds tiled compilations (tile_rows > 0); use
-  /// tiled_for_mode() instead of for_mode() then.
-  bool tiled() const noexcept { return !tiled_.empty(); }
-  index_t tile_rows() const noexcept { return tile_rows_; }
+  /// Always false: a set holds plain trees only. Kept because bench/e2e,
+  /// which compiles against this header, still reads it.
+  bool tiled() const noexcept { return false; }
 
   const CsfTensor& for_mode(std::size_t mode) const;
-  const TiledCsf& tiled_for_mode(std::size_t mode) const;
 
   offset_t nnz() const noexcept { return nnz_; }
   const std::vector<index_t>& dims() const noexcept { return dims_; }
@@ -256,12 +227,10 @@ class CsfSet {
  private:
   std::size_t order_ = 0;
   CsfStrategy strategy_ = CsfStrategy::kAllMode;
-  index_t tile_rows_ = 0;
   std::vector<index_t> dims_;
   offset_t nnz_ = 0;
   real_t norm_sq_ = 0;
   std::vector<CsfTensor> tensors_;
-  std::vector<TiledCsf> tiled_;
   /// One entry per tree when value patching is tracked: COO position ->
   /// leaf slot in that tree.
   std::vector<std::vector<offset_t>> leaf_of_coo_;

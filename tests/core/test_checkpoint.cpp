@@ -10,6 +10,9 @@
 #include <string>
 #include <utility>
 
+#include "core/config.hpp"
+#include "core/solver.hpp"
+#include "tensor/csf.hpp"
 #include "testing/fault_injection.hpp"
 #include "testing/helpers.hpp"
 #include "util/error.hpp"
@@ -180,6 +183,42 @@ TEST(Checkpoint, MatrixLargerThanTheFileThrowsParseError) {
   }
   EXPECT_THROW(read_checkpoint_file(path), ParseError);
   std::remove(path.c_str());
+}
+
+/// Writes (through write_checkpoint_file, so the checksum is valid) a
+/// checkpoint of a rank-4 solve on a 7 x 5 x 35 tensor with one factor or
+/// dual swapped for `bad`; reading it, or resuming a solver from it, must
+/// throw ParseError. `bad` would otherwise reach the MTTKRP as is.
+void expect_shape_rejected(bool dual, std::size_t mode, Matrix bad,
+                           const std::string& name) {
+  const std::vector<index_t> dims{7, 5, 35};
+  const CooTensor x = testing::random_coo(dims, 300, 41);
+  CpdCheckpoint ck;
+  ck.dims = dims;
+  ck.rank = 4;
+  ck.outer_iteration = 2;
+  ck.prev_error = 0.5;
+  ck.factors = testing::random_factors(dims, 4, 42);
+  ck.duals = testing::random_factors(dims, 4, 43, -0.5, 0.5);
+  (dual ? ck.duals : ck.factors)[mode] = std::move(bad);
+  const std::string path = ::testing::TempDir() + name;
+  write_checkpoint_file(ck, path);
+
+  EXPECT_THROW(read_checkpoint_file(path), ParseError);
+  const CsfSet csf(x);
+  CpdSolver solver(csf, CpdConfig().with_rank(4).with_max_outer(3));
+  EXPECT_THROW(solver.resume(path), ParseError);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, WrongShapedFactorThrowsParseErrorOnReadAndResume) {
+  expect_shape_rejected(/*dual=*/false, 2, Matrix(3, 4),
+                        "aoadmm_ckpt_bad_factor.ckpt");
+}
+
+TEST(Checkpoint, WrongShapedDualThrowsParseErrorOnReadAndResume) {
+  expect_shape_rejected(/*dual=*/true, 1, Matrix(5, 2),
+                        "aoadmm_ckpt_bad_dual.ckpt");
 }
 
 TEST(Checkpoint, InjectedWriteFailureThrowsAndPreservesPrevious) {

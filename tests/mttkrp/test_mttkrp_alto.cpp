@@ -135,8 +135,7 @@ INSTANTIATE_TEST_SUITE_P(
     OrdersRanksSchedules, MttkrpAltoSweep,
     ::testing::Combine(::testing::Values(3, 4, 5),
                        ::testing::Values(1, 7, 8, 32, 33),
-                       ::testing::Values(MttkrpSchedule::kDynamic,
-                                         MttkrpSchedule::kWeighted,
+                       ::testing::Values(MttkrpSchedule::kWeighted,
                                          MttkrpSchedule::kOwner)),
     [](const ::testing::TestParamInfo<SweepParam>& info) {
       return "order" + std::to_string(std::get<0>(info.param)) + "_rank" +
@@ -181,8 +180,7 @@ TEST(MttkrpAlto, DispatchRoutesThroughTheLinearizedKernel) {
 
   for (std::size_t target = 0; target < dims.size(); ++target) {
     Matrix k;
-    mttkrp_dispatch(csf, factors, target, k, MttkrpSchedule::kAuto,
-                    MttkrpKernel::kAlto, nullptr);
+    mttkrp_dispatch(csf, factors, target, k, MttkrpKernel::kAlto, nullptr);
     Matrix k_oracle;
     mttkrp_coo(x, factors, target, k_oracle);
     EXPECT_LT(max_abs_diff(k, k_oracle), 1e-12) << "target " << target;
@@ -193,8 +191,7 @@ TEST(MttkrpAlto, PatchValuesInvalidatesTheCachedIndex) {
   const std::vector<index_t> dims{14, 10, 12};
   CooTensor x = testing::random_coo(dims, 400, 607);
   const auto factors = testing::random_factors(dims, 6, 608);
-  CsfSet set(x, CsfStrategy::kOneMode, /*tile_rows=*/0,
-             /*track_value_patching=*/true);
+  CsfSet set(x, CsfStrategy::kOneMode, /*track_value_patching=*/true);
   const CsfTensor& tree = set.for_mode(0);
 
   Matrix before;
@@ -239,15 +236,6 @@ TEST(MttkrpAlto, SolverRejectsIncoherentAltoRequests) {
     bad.with_mttkrp_kernel(MttkrpKernel::kAlto)
         .with_leaf_format(LeafFormat::kHybrid);
     EXPECT_FALSE(bad.validate(3).ok());
-  }
-  // config-level: alto + dynamic schedule re-enables atomics: warning only.
-  {
-    CpdConfig warn = cfg;
-    warn.with_mttkrp_kernel(MttkrpKernel::kAlto)
-        .with_mttkrp_schedule(MttkrpSchedule::kDynamic);
-    const ValidationReport r = warn.validate(3);
-    EXPECT_TRUE(r.ok());
-    EXPECT_GE(r.warning_count(), 1u);
   }
 }
 

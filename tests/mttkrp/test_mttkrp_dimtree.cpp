@@ -167,15 +167,14 @@ TEST(MttkrpDimTree, DispatchRoutesThroughTheEngine) {
   detail::DimTreeEngine engine;
   for (std::size_t target = 0; target < dims.size(); ++target) {
     Matrix k;
-    mttkrp_dispatch(csf, factors, target, k, MttkrpSchedule::kAuto,
-                    MttkrpKernel::kDimTree, &engine);
+    mttkrp_dispatch(csf, factors, target, k, MttkrpKernel::kDimTree, &engine);
     Matrix k_oracle;
     mttkrp_coo(x, factors, target, k_oracle);
     EXPECT_LT(max_abs_diff(k, k_oracle), 1e-12) << "target " << target;
   }
   // The engine is mandatory for this kernel.
   Matrix k;
-  EXPECT_THROW(mttkrp_dispatch(csf, factors, 0, k, MttkrpSchedule::kAuto,
+  EXPECT_THROW(mttkrp_dispatch(csf, factors, 0, k,
                                MttkrpKernel::kDimTree, nullptr),
                Error);
 }
@@ -193,10 +192,6 @@ TEST(MttkrpDimTree, AutoKernelSelectionHeuristic) {
   EXPECT_EQ(resolve_auto_kernel(MttkrpKernel::kAlto, CsfStrategy::kOneMode,
                                 false, true, 3, cube, 900),
             MttkrpKernel::kAlto);
-  // Tiled compilations always take the tiled kernel.
-  EXPECT_EQ(resolve_auto_kernel(MttkrpKernel::kAuto, CsfStrategy::kAllMode,
-                                true, true, 3, cube, 900),
-            MttkrpKernel::kTiled);
   // ALLMODE sets keep the per-mode root kernels.
   EXPECT_EQ(resolve_auto_kernel(MttkrpKernel::kAuto, CsfStrategy::kAllMode,
                                 false, true, 4, order4, 900),

@@ -1,8 +1,8 @@
-// Tests for the atomic-free MTTKRP scheduling policies: every explicit
-// schedule (dynamic / weighted / owner) against the COO oracle across
-// orders, ranks straddling the fixed-rank microkernel dispatch points, and
-// thread counts (serial + oversubscribed), plus the structural invariants
-// of the cached scheduling plans and the determinism the atomic-free
+// Tests for the MTTKRP scheduling policies: every explicit non-root
+// schedule (weighted / owner) and the root kernel against the COO oracle
+// across orders, ranks straddling the fixed-rank microkernel dispatch
+// points, and thread counts (serial + oversubscribed), plus the structural
+// invariants of the cached scheduling plans and the determinism the
 // kernels guarantee.
 #include <gtest/gtest.h>
 
@@ -68,8 +68,25 @@ TEST_P(MttkrpScheduleSweep, NonRootMatchesOracleSerialAndOversubscribed) {
   }
 }
 
-TEST_P(MttkrpScheduleSweep, RootKernelMatchesOracle) {
-  const auto [order, rank, schedule] = GetParam();
+INSTANTIATE_TEST_SUITE_P(
+    OrdersRanksSchedules, MttkrpScheduleSweep,
+    ::testing::Combine(::testing::Values(3, 4, 5),
+                       ::testing::Values(1, 7, 8, 32, 33),
+                       ::testing::Values(MttkrpSchedule::kWeighted,
+                                         MttkrpSchedule::kOwner)),
+    [](const ::testing::TestParamInfo<SweepParam>& info) {
+      return "order" + std::to_string(std::get<0>(info.param)) + "_rank" +
+             std::to_string(std::get<1>(info.param)) + "_" +
+             to_string(std::get<2>(info.param));
+    });
+
+// The root kernel is race-free by construction and takes no schedule, so it
+// runs once per order x rank.
+class MttkrpRootSweep
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(MttkrpRootSweep, RootKernelMatchesOracle) {
+  const auto [order, rank] = GetParam();
   std::vector<index_t> dims;
   for (int m = 0; m < order; ++m) {
     dims.push_back(static_cast<index_t>(6 + 2 * m));
@@ -86,28 +103,23 @@ TEST_P(MttkrpScheduleSweep, RootKernelMatchesOracle) {
     for (std::size_t root = 0; root < dims.size(); ++root) {
       const CsfTensor csf = CsfTensor::build_for_mode(x, root);
       Matrix k;
-      mttkrp_csf(csf, factors, k, /*accumulate=*/false, schedule);
+      mttkrp_csf(csf, factors, k);
       Matrix k_oracle;
       mttkrp_coo(x, factors, root, k_oracle);
       EXPECT_LT(max_abs_diff(k, k_oracle), 1e-12)
-          << "order " << order << " rank " << rank << " schedule "
-          << to_string(schedule) << " threads " << threads << " root "
-          << root;
+          << "order " << order << " rank " << rank << " threads " << threads
+          << " root " << root;
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    OrdersRanksSchedules, MttkrpScheduleSweep,
+    OrdersRanks, MttkrpRootSweep,
     ::testing::Combine(::testing::Values(3, 4, 5),
-                       ::testing::Values(1, 7, 8, 32, 33),
-                       ::testing::Values(MttkrpSchedule::kDynamic,
-                                         MttkrpSchedule::kWeighted,
-                                         MttkrpSchedule::kOwner)),
-    [](const ::testing::TestParamInfo<SweepParam>& info) {
+                       ::testing::Values(1, 7, 8, 32, 33)),
+    [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
       return "order" + std::to_string(std::get<0>(info.param)) + "_rank" +
-             std::to_string(std::get<1>(info.param)) + "_" +
-             to_string(std::get<2>(info.param));
+             std::to_string(std::get<1>(info.param));
     });
 
 TEST(MttkrpSchedule, AutoMatchesOracleEverywhere) {
@@ -125,9 +137,8 @@ TEST(MttkrpSchedule, AutoMatchesOracleEverywhere) {
 }
 
 TEST(MttkrpSchedule, WeightedAndOwnerAreBitwiseDeterministic) {
-  // The atomic kernel's scatter order depends on thread interleaving; the
-  // whole point of the privatized/owner kernels is a fixed summation order,
-  // so repeated runs must agree to the last bit.
+  // The privatized/owner kernels fix the summation order, so repeated runs
+  // must agree to the last bit.
   const std::vector<index_t> dims{40, 25, 30};
   const CooTensor x = testing::random_coo(dims, 2500, 903);
   const auto factors = testing::random_factors(dims, 9, 904);
@@ -219,53 +230,13 @@ TEST(MttkrpSchedule, OwnerPlanInvariants) {
 
 TEST(MttkrpSchedule, ScheduleAndKernelNames) {
   EXPECT_STREQ(to_string(MttkrpSchedule::kAuto), "auto");
-  EXPECT_STREQ(to_string(MttkrpSchedule::kDynamic), "dynamic");
   EXPECT_STREQ(to_string(MttkrpSchedule::kWeighted), "weighted");
   EXPECT_STREQ(to_string(MttkrpSchedule::kOwner), "owner");
   EXPECT_STREQ(to_string(MttkrpKernel::kAuto), "auto");
   EXPECT_STREQ(to_string(MttkrpKernel::kAllMode), "allmode");
   EXPECT_STREQ(to_string(MttkrpKernel::kOneTree), "onetree");
-  EXPECT_STREQ(to_string(MttkrpKernel::kTiled), "tiled");
   EXPECT_STREQ(to_string(MttkrpKernel::kDimTree), "dimtree");
   EXPECT_STREQ(to_string(MttkrpKernel::kAlto), "alto");
-}
-
-TEST(MttkrpSchedule, TiledSetSolvesLikeUntiled) {
-  const std::vector<index_t> dims{24, 18, 40};  // leaf mode long enough to tile
-  const CooTensor x = testing::random_coo(dims, 1400, 907);
-  CpdConfig cfg;
-  cfg.with_rank(6).with_max_outer(6).with_tolerance(0);
-
-  const CsfSet plain(x);
-  CpdSolver plain_solver(plain, cfg);
-  const CpdResult r_plain = plain_solver.solve();
-
-  const CsfSet tiled(x, CsfStrategy::kAllMode, /*tile_rows=*/7);
-  ASSERT_TRUE(tiled.tiled());
-  EXPECT_EQ(tiled.nnz(), plain.nnz());
-  EXPECT_DOUBLE_EQ(tiled.norm_sq(), plain.norm_sq());
-  CpdConfig tiled_cfg = cfg;
-  tiled_cfg.with_mttkrp_kernel(MttkrpKernel::kTiled);
-  CpdSolver tiled_solver(tiled, tiled_cfg);
-  const CpdResult r_tiled = tiled_solver.solve();
-
-  EXPECT_EQ(r_plain.outer_iterations, r_tiled.outer_iterations);
-  EXPECT_NEAR(r_plain.relative_error, r_tiled.relative_error, 1e-9);
-}
-
-TEST(MttkrpSchedule, TiledKernelMatchesOracleDirectly) {
-  const std::vector<index_t> dims{15, 11, 33};
-  const CooTensor x = testing::random_coo(dims, 700, 908);
-  const auto factors = testing::random_factors(dims, 8, 909);
-  for (std::size_t root = 0; root < dims.size(); ++root) {
-    const TiledCsf tiled(x, root, /*tile_rows=*/5);
-    EXPECT_GT(tiled.num_tiles(), 1u) << "root " << root;
-    Matrix k;
-    mttkrp_tiled(tiled, factors, k);
-    Matrix k_oracle;
-    mttkrp_coo(x, factors, root, k_oracle);
-    EXPECT_LT(max_abs_diff(k, k_oracle), 1e-12) << "root " << root;
-  }
 }
 
 TEST(MttkrpSchedule, SolverRejectsIncoherentKernelAndSet) {
@@ -274,20 +245,6 @@ TEST(MttkrpSchedule, SolverRejectsIncoherentKernelAndSet) {
   CpdConfig cfg;
   cfg.with_rank(4).with_max_outer(2);
 
-  // Tiled kernel without a tiled set.
-  {
-    const CsfSet plain(x);
-    CpdConfig bad = cfg;
-    bad.with_mttkrp_kernel(MttkrpKernel::kTiled);
-    EXPECT_THROW(CpdSolver(plain, bad), InvalidArgument);
-  }
-  // Non-tiled kernel on a tiled set.
-  {
-    const CsfSet tiled(x, CsfStrategy::kAllMode, 4);
-    CpdConfig bad = cfg;
-    bad.with_mttkrp_kernel(MttkrpKernel::kAllMode);
-    EXPECT_THROW(CpdSolver(tiled, bad), InvalidArgument);
-  }
   // Strategy mismatches.
   {
     const CsfSet one(x, CsfStrategy::kOneMode);
@@ -305,8 +262,7 @@ TEST(MttkrpSchedule, SolverRejectsIncoherentKernelAndSet) {
   {
     const CsfSet one(x, CsfStrategy::kOneMode);
     CpdConfig good = cfg;
-    good.with_mttkrp_kernel(MttkrpKernel::kOneTree)
-        .with_mttkrp_schedule(MttkrpSchedule::kOwner);
+    good.with_mttkrp_kernel(MttkrpKernel::kOneTree);
     EXPECT_NO_THROW(CpdSolver(one, good).solve());
   }
 }
@@ -315,53 +271,11 @@ TEST(MttkrpSchedule, ConfigValidationFlagsBadCombinations) {
   CpdConfig cfg;
   cfg.with_rank(4);
 
-  // Tiled kernel + compressed leaf is an error.
-  CpdConfig bad = cfg;
-  bad.with_mttkrp_kernel(MttkrpKernel::kTiled)
-      .with_leaf_format(LeafFormat::kCsr);
-  const ValidationReport r1 = bad.validate(3);
-  EXPECT_FALSE(r1.ok());
-
-  // onetree + dynamic re-enables the atomic path: warning.
-  CpdConfig warn = cfg;
-  warn.with_mttkrp_kernel(MttkrpKernel::kOneTree)
-      .with_mttkrp_schedule(MttkrpSchedule::kDynamic);
-  const ValidationReport r2 = warn.validate(3);
-  EXPECT_TRUE(r2.ok());
-  EXPECT_GE(r2.warning_count(), 1u);
-
   // The headline combination is clean.
   CpdConfig good = cfg;
-  good.with_mttkrp_kernel(MttkrpKernel::kAuto)
-      .with_mttkrp_schedule(MttkrpSchedule::kWeighted);
+  good.with_mttkrp_kernel(MttkrpKernel::kAuto);
   EXPECT_TRUE(good.validate(3).ok());
   EXPECT_EQ(good.validate(3).warning_count(), 0u);
-}
-
-TEST(MttkrpSchedule, SolvesAgreeAcrossSchedules) {
-  // End-to-end: the schedule changes only the parallel decomposition, so
-  // full factorizations agree to floating-point accumulation tolerance.
-  const std::vector<index_t> dims{26, 21, 17};
-  const CooTensor x = testing::random_coo(dims, 800, 911);
-  const CsfSet one(x, CsfStrategy::kOneMode);
-
-  ThreadGuard guard;
-  set_num_threads(2 * max_threads() + 3);
-  real_t reference = -1;
-  for (const MttkrpSchedule s :
-       {MttkrpSchedule::kDynamic, MttkrpSchedule::kWeighted,
-        MttkrpSchedule::kOwner}) {
-    CpdConfig cfg;
-    cfg.with_rank(5).with_max_outer(6).with_tolerance(0)
-        .with_mttkrp_schedule(s);
-    CpdSolver solver(one, cfg);
-    const CpdResult r = solver.solve();
-    if (reference < 0) {
-      reference = r.relative_error;
-    } else {
-      EXPECT_NEAR(r.relative_error, reference, 1e-7) << to_string(s);
-    }
-  }
 }
 
 }  // namespace
