@@ -1,9 +1,8 @@
-// Tests for the MTTKRP scheduling policies: every explicit non-root
-// schedule (weighted / owner) and the root kernel against the COO oracle
-// across orders, ranks straddling the fixed-rank microkernel dispatch
-// points, and thread counts (serial + oversubscribed), plus the structural
-// invariants of the cached scheduling plans and the determinism the
-// kernels guarantee.
+// Tests for the MTTKRP scheduling policies: every explicit schedule
+// (weighted / owner) against the COO oracle across orders, ranks straddling
+// the fixed-rank microkernel dispatch points, and thread counts (serial +
+// oversubscribed), plus the structural invariants of the cached scheduling
+// plans and the determinism the kernels guarantee.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -68,25 +67,11 @@ TEST_P(MttkrpScheduleSweep, NonRootMatchesOracleSerialAndOversubscribed) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    OrdersRanksSchedules, MttkrpScheduleSweep,
-    ::testing::Combine(::testing::Values(3, 4, 5),
-                       ::testing::Values(1, 7, 8, 32, 33),
-                       ::testing::Values(MttkrpSchedule::kWeighted,
-                                         MttkrpSchedule::kOwner)),
-    [](const ::testing::TestParamInfo<SweepParam>& info) {
-      return "order" + std::to_string(std::get<0>(info.param)) + "_rank" +
-             std::to_string(std::get<1>(info.param)) + "_" +
-             to_string(std::get<2>(info.param));
-    });
-
-// The root kernel is race-free by construction and takes no schedule, so it
-// runs once per order x rank.
-class MttkrpRootSweep
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(MttkrpRootSweep, RootKernelMatchesOracle) {
-  const auto [order, rank] = GetParam();
+// The root kernel is race-free by construction and takes no schedule: a
+// root target reached through the schedule-taking dispatch must match the
+// oracle whatever schedule the caller names.
+TEST_P(MttkrpScheduleSweep, RootKernelMatchesOracle) {
+  const auto [order, rank, schedule] = GetParam();
   std::vector<index_t> dims;
   for (int m = 0; m < order; ++m) {
     dims.push_back(static_cast<index_t>(6 + 2 * m));
@@ -103,23 +88,27 @@ TEST_P(MttkrpRootSweep, RootKernelMatchesOracle) {
     for (std::size_t root = 0; root < dims.size(); ++root) {
       const CsfTensor csf = CsfTensor::build_for_mode(x, root);
       Matrix k;
-      mttkrp_csf(csf, factors, k);
+      mttkrp_dispatch(csf, factors, root, k, schedule);
       Matrix k_oracle;
       mttkrp_coo(x, factors, root, k_oracle);
       EXPECT_LT(max_abs_diff(k, k_oracle), 1e-12)
-          << "order " << order << " rank " << rank << " threads " << threads
-          << " root " << root;
+          << "order " << order << " rank " << rank << " schedule "
+          << to_string(schedule) << " threads " << threads << " root "
+          << root;
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    OrdersRanks, MttkrpRootSweep,
+    OrdersRanksSchedules, MttkrpScheduleSweep,
     ::testing::Combine(::testing::Values(3, 4, 5),
-                       ::testing::Values(1, 7, 8, 32, 33)),
-    [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
+                       ::testing::Values(1, 7, 8, 32, 33),
+                       ::testing::Values(MttkrpSchedule::kWeighted,
+                                         MttkrpSchedule::kOwner)),
+    [](const ::testing::TestParamInfo<SweepParam>& info) {
       return "order" + std::to_string(std::get<0>(info.param)) + "_rank" +
-             std::to_string(std::get<1>(info.param));
+             std::to_string(std::get<1>(info.param)) + "_" +
+             to_string(std::get<2>(info.param));
     });
 
 TEST(MttkrpSchedule, AutoMatchesOracleEverywhere) {
