@@ -887,7 +887,9 @@ int main(int argc, char** argv) {
                    name.c_str());
     }
     return rc;
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
+    // aoadmm::Error and the standard library's own (bad_alloc on a tensor
+    // too large for memory, say) alike.
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }

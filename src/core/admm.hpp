@@ -13,13 +13,19 @@
 //
 // Both minimize  ½‖X(m) − H(⊙ₙAₙ)ᵀ‖² + r(H)  for one factor given the
 // MTTKRP result K and Gram matrix G, updating the primal H and scaled dual
-// U in place.
+// U in place. They differ only in how rows are scheduled: core/admm.cpp
+// runs both inside one envelope that owns the penalty, the factorization
+// of G + ρI, residual balancing and divergence recovery.
 #pragma once
+
+#include <cstdint>
+#include <vector>
 
 #include "core/prox.hpp"
 #include "core/robustness.hpp"
 #include "la/cholesky.hpp"
 #include "la/matrix.hpp"
+#include "util/aligned.hpp"
 #include "util/types.hpp"
 
 namespace aoadmm {
@@ -32,9 +38,13 @@ namespace aoadmm {
 /// factor of `ratio` of each other so neither stalls the inner loop on
 /// ill-conditioned systems where the tr(G)/F default lands far off.
 ///
-/// The quadratic path refactors its F x F system after every rescale (the
-/// Cholesky depends on ρ); the generalized-loss path's per-row system
-/// (BᵀB + I) is ρ-independent, so rebalancing there is free.
+/// The residuals are checked after every inner iteration (for the blocked
+/// variant, after every one-iteration sweep over the blocks), and ρ is
+/// rescaled at most kMaxRhoRebalances times per update, which bounds the
+/// refactorization cost and stops ρ from oscillating. The quadratic path
+/// refactors its F x F system after every rescale (the Cholesky depends on
+/// ρ); the generalized-loss path's per-row system (BᵀB + I) is
+/// ρ-independent, so rebalancing there is free.
 struct AdaptiveRhoOptions {
   /// Off by default: ρ stays fixed at tr(G)/F, the historical behavior.
   bool enabled = false;
@@ -42,14 +52,10 @@ struct AdaptiveRhoOptions {
   real_t ratio = 10;
   /// Multiplier τ applied to ρ per rescale (duals scaled by 1/τ).
   real_t rescale = 2;
-  /// Check cadence in inner iterations. For the blocked variant this is
-  /// also the sweep length between global residual aggregations — larger
-  /// values amortize the cross-block barrier adaptivity reintroduces.
-  unsigned check_every = 1;
-  /// Rescale budget per inner solve, bounding refactorization cost and
-  /// preventing ρ oscillation.
-  unsigned max_rescales = 16;
 };
+
+/// Rescale budget of one inner solve (per row on the generalized-loss path).
+inline constexpr unsigned kMaxRhoRebalances = 16;
 
 struct AdmmOptions {
   /// Inner tolerance ε: stop when the relative primal AND dual residuals
@@ -116,6 +122,42 @@ struct AdmmResult {
   unsigned rho_rebalances = 0;
 };
 
+namespace detail {
+
+/// The four squared norms of Algorithm 1's convergence test (lines 10–11),
+/// summed over whatever rows an iteration covered.
+struct ResidualAccum {
+  real_t primal_num = 0;
+  real_t primal_den = 0;
+  real_t dual_num = 0;
+  real_t dual_den = 0;
+
+  void merge(const ResidualAccum& o) noexcept {
+    primal_num += o.primal_num;
+    primal_den += o.primal_den;
+    dual_num += o.dual_num;
+    dual_den += o.dual_den;
+  }
+
+  real_t primal() const noexcept {
+    return primal_num / (primal_den > 0 ? primal_den : real_t{1});
+  }
+  real_t dual() const noexcept {
+    // Algorithm 1 normalizes by ‖U‖², which vanishes when the constraints
+    // are inactive (the dual settles at zero) and would stall convergence
+    // detection on an already-exact iterate. Floor the denominator at a
+    // tiny fraction of ‖H‖² so "both numerator and dual are negligible"
+    // counts as converged.
+    const real_t floor_den = real_t{1e-12} * primal_den + real_t{1e-300};
+    return dual_num / (dual_den > floor_den ? dual_den : floor_den);
+  }
+  bool converged(real_t eps) const noexcept {
+    return primal() < eps && dual() < eps;
+  }
+};
+
+}  // namespace detail
+
 /// Scratch reused across ADMM calls (aux = H̃, h_old = H₀), plus the F x F
 /// system matrix G + ρI and its Cholesky factorization, which are rebuilt in
 /// place every call. Sized lazily to the largest factor they have seen, so a
@@ -129,6 +171,16 @@ struct AdmmScratch {
   /// Snapshot of the primal at call entry, maintained only when robustness
   /// is enabled: divergence restarts and sentinel rollbacks restore it.
   Matrix h_entry;
+
+  /// One block's progress across the blocked variant's sweeps.
+  struct Block {
+    enum State : unsigned char { kRunning, kConverged, kDiverged };
+    detail::ResidualAccum acc;  // residual sums of its latest iteration
+    unsigned iterations = 0;    // iterations run in this attempt
+    State state = kRunning;
+  };
+  /// Grow-only: the largest block count any call has needed.
+  std::vector<Block, AlignedAllocator<Block>> blocks;
 
   void ensure(std::size_t rows, std::size_t cols) {
     if (aux.rows() < rows || aux.cols() != cols) {

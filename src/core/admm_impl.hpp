@@ -1,4 +1,7 @@
-// Internal helpers shared by the baseline and blocked ADMM variants.
+// Internal helpers of the ADMM envelope in core/admm.cpp: the row kernels
+// both variants schedule, the penalty, divergence and rebalancing rules.
+// The generalized-loss row solver (core/loss_solve.cpp) reuses the
+// penalty, the residual sums and the rebalancing decision.
 #pragma once
 
 #include <cmath>
@@ -10,12 +13,6 @@
 #include "util/error.hpp"
 
 namespace aoadmm::detail {
-
-/// The Cholesky guard a RobustnessOptions block configures.
-inline CholeskyGuard to_guard(const RobustnessOptions& rb) noexcept {
-  return {rb.cholesky_max_attempts, rb.cholesky_initial_jitter,
-          rb.cholesky_jitter_growth};
-}
 
 /// ρ = trace(G)/F (Algorithm 1, line 3), floored away from zero so the
 /// normal equations stay positive definite even for degenerate factors.
@@ -32,17 +29,9 @@ inline real_t admm_penalty(const Matrix& g) {
   return rho;
 }
 
-/// G + ρI, the system matrix factored once per ADMM call (line 4).
-inline Matrix regularized_gram(const Matrix& g, real_t rho) {
-  Matrix out = g;
-  for (std::size_t i = 0; i < g.rows(); ++i) {
-    out(i, i) += rho;
-  }
-  return out;
-}
-
-/// Allocation-free variant: writes G + ρI into `out` (resized only when the
-/// rank changes) — the form the solver session uses on its hot path.
+/// G + ρI, the system matrix factored once per ADMM call (line 4), written
+/// into `out` (resized only when the rank changes) so the hot path does not
+/// allocate.
 inline void regularized_gram_into(const Matrix& g, real_t rho, Matrix& out) {
   if (!out.same_shape(g)) {
     out.resize(g.rows(), g.cols());
@@ -56,36 +45,6 @@ inline void regularized_gram_into(const Matrix& g, real_t rho, Matrix& out) {
     out(i, i) += rho;
   }
 }
-
-struct ResidualAccum {
-  real_t primal_num = 0;
-  real_t primal_den = 0;
-  real_t dual_num = 0;
-  real_t dual_den = 0;
-
-  void merge(const ResidualAccum& o) noexcept {
-    primal_num += o.primal_num;
-    primal_den += o.primal_den;
-    dual_num += o.dual_num;
-    dual_den += o.dual_den;
-  }
-
-  real_t primal() const noexcept {
-    return primal_num / (primal_den > 0 ? primal_den : real_t{1});
-  }
-  real_t dual() const noexcept {
-    // Algorithm 1 normalizes by ‖U‖², which vanishes when the constraints
-    // are inactive (the dual settles at zero) and would stall convergence
-    // detection on an already-exact iterate. Floor the denominator at a
-    // tiny fraction of ‖H‖² so "both numerator and dual are negligible"
-    // counts as converged.
-    const real_t floor_den = real_t{1e-12} * primal_den + real_t{1e-300};
-    return dual_num / (dual_den > floor_den ? dual_den : floor_den);
-  }
-  bool converged(real_t eps) const noexcept {
-    return primal() < eps && dual() < eps;
-  }
-};
 
 /// Per-inner-solve divergence detector. An iterate is declared divergent
 /// when its residual accumulators go non-finite (NaN/Inf contamination

@@ -4,11 +4,11 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
-#include <limits>
 #include <ostream>
 
 #include "testing/fault_injection.hpp"
 #include "util/error.hpp"
+#include "util/stream_bytes.hpp"
 
 namespace aoadmm {
 namespace {
@@ -54,19 +54,6 @@ class Writer {
   std::ostream& out_;
   std::uint64_t hash_ = kFnvOffset;
 };
-
-/// Bytes from the read position to the end of `in`; the maximum when the
-/// stream cannot seek (then only the overflow checks bound a length field).
-std::uint64_t bytes_left(std::istream& in) {
-  const std::streampos here = in.tellg();
-  if (here < 0) {
-    return std::numeric_limits<std::uint64_t>::max();
-  }
-  in.seekg(0, std::ios::end);
-  const std::streampos end = in.tellg();
-  in.seekg(here);
-  return end > here ? static_cast<std::uint64_t>(end - here) : 0;
-}
 
 class Reader {
  public:

@@ -210,16 +210,6 @@ ValidationReport CpdConfig::validate(std::size_t order) const {
       add(Severity::kError, "admm.adaptive.rescale",
           "adaptive.rescale must exceed 1 so a rebalance actually moves rho");
     }
-    if (ad.check_every == 0) {
-      add(Severity::kError, "admm.adaptive.check_every",
-          "adaptive.check_every must be >= 1 (iterations between residual "
-          "checks; the blocked variant uses it as the sweep length)");
-    }
-    if (ad.max_rescales == 0) {
-      add(Severity::kWarning, "admm.adaptive.max_rescales",
-          "adaptive.max_rescales is 0: adaptive rho is enabled but can never "
-          "rescale; disable it or raise the budget");
-    }
   }
 
   // --- Loss / data-fidelity term ---

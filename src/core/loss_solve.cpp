@@ -1,11 +1,14 @@
 #include "core/loss_solve.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
+#include <exception>
 #include <vector>
 
+#include "core/admm_impl.hpp"
 #include "la/cholesky.hpp"
 #include "parallel/runtime.hpp"
 #include "util/aligned.hpp"
@@ -122,14 +125,7 @@ RowOutcome solve_row(Matrix& h_mat, Matrix& u_mat, std::size_t row,
                      LossModeState& state, RowScratch& s) {
   const std::size_t f = s.rhs.size();
   const std::size_t nnz = s.xs.size();
-  real_t trace = 0;
-  for (std::size_t col = 0; col < f; ++col) {
-    trace += s.g(col, col);
-  }
-  real_t rho = trace / static_cast<real_t>(f);
-  if (!(rho > real_t{1e-12})) {
-    rho = real_t{1e-12};
-  }
+  real_t rho = detail::admm_penalty(s.g);
   // The h-system (G + I) is rho-independent: factor once, rebalance freely.
   for (std::size_t col = 0; col < f; ++col) {
     s.g(col, col) += real_t{1};
@@ -144,10 +140,9 @@ RowOutcome solve_row(Matrix& h_mat, Matrix& u_mat, std::size_t row,
   real_t* __restrict t = state.t.data();
   real_t* __restrict ut = state.u_t.data();
   const AdaptiveRhoOptions& ad = opts.adaptive;
-  const unsigned check_every = ad.check_every > 0 ? ad.check_every : 1;
 
   RowOutcome out;
-  for (unsigned iter = 0; iter < opts.max_iterations; ++iter) {
+  while (out.iterations < opts.max_iterations) {
     // h-update: (G + I) h = Bᵀ(t − u_t) + (h̄ − u_h) − c/ρ.
     for (std::size_t col = 0; col < f; ++col) {
       h[col] = hbar[col] - uh[col] - slope * s.c[col] / rho;
@@ -162,10 +157,7 @@ RowOutcome solve_row(Matrix& h_mat, Matrix& u_mat, std::size_t row,
     }
     chol.solve_inplace({h, f});
 
-    real_t pr_num = 0;
-    real_t pr_den = 0;
-    real_t du_num = 0;
-    real_t du_den = 0;
+    detail::ResidualAccum acc;
 
     // t-update: elementwise loss prox at the fresh model values.
     for (std::size_t j = 0; j < nnz; ++j) {
@@ -177,13 +169,13 @@ RowOutcome solve_row(Matrix& h_mat, Matrix& u_mat, std::size_t row,
       }
       const real_t tn = loss.prox(xs[j], m + ut[n], rho);
       const real_t step = tn - t[n];
-      du_num += step * step;
+      acc.dual_num += step * step;
       t[n] = tn;
       const real_t diff = m - tn;
       ut[n] += diff;
-      pr_num += diff * diff;
-      pr_den += tn * tn;
-      du_den += ut[n] * ut[n];
+      acc.primal_num += diff * diff;
+      acc.primal_den += tn * tn;
+      acc.dual_den += ut[n] * ut[n];
     }
 
     // h̄-update through the mode's constraint prox, then the h-split dual.
@@ -195,45 +187,35 @@ RowOutcome solve_row(Matrix& h_mat, Matrix& u_mat, std::size_t row,
     for (std::size_t col = 0; col < f; ++col) {
       const real_t diff = h[col] - hbar[col];
       uh[col] += diff;
-      pr_num += diff * diff;
-      pr_den += hbar[col] * hbar[col];
+      acc.primal_num += diff * diff;
+      acc.primal_den += hbar[col] * hbar[col];
       const real_t step = hbar[col] - s.hbar_old[col];
-      du_num += step * step;
-      du_den += uh[col] * uh[col];
+      acc.dual_num += step * step;
+      acc.dual_den += uh[col] * uh[col];
     }
 
-    const real_t pr = pr_num / (pr_den > 0 ? pr_den : real_t{1});
-    const real_t du_floor = real_t{1e-12} * pr_den + real_t{1e-300};
-    const real_t du = du_num / (du_den > du_floor ? du_den : du_floor);
-    out.primal = pr;
-    out.dual = du;
+    out.primal = acc.primal();
+    out.dual = acc.dual();
     ++out.iterations;
-    if (pr < opts.tolerance && du < opts.tolerance) {
+    if (acc.converged(opts.tolerance)) {
       break;
     }
 
     // Residual-balancing adaptive rho: no refactor needed here, just the
     // penalty and the scaled duals of both splits.
-    if (ad.enabled && out.rebalances < ad.max_rescales &&
-        (iter + 1) % check_every == 0 && std::isfinite(pr) &&
-        std::isfinite(du)) {
-      real_t scale = 0;
-      if (pr > ad.ratio * du) {
-        scale = ad.rescale;
-      } else if (du > ad.ratio * pr) {
-        scale = real_t{1} / ad.rescale;
+    const real_t scale = ad.enabled && out.rebalances < kMaxRhoRebalances
+                             ? detail::rebalance_scale(acc, ad)
+                             : real_t{0};
+    if (scale != 0) {
+      rho *= scale;
+      const real_t inv = real_t{1} / scale;
+      for (std::size_t j = 0; j < nnz; ++j) {
+        ut[s.nodes[j]] *= inv;
       }
-      if (scale != 0) {
-        rho *= scale;
-        const real_t inv = real_t{1} / scale;
-        for (std::size_t j = 0; j < nnz; ++j) {
-          ut[s.nodes[j]] *= inv;
-        }
-        for (std::size_t col = 0; col < f; ++col) {
-          uh[col] *= inv;
-        }
-        ++out.rebalances;
+      for (std::size_t col = 0; col < f; ++col) {
+        uh[col] *= inv;
       }
+      ++out.rebalances;
     }
   }
   return out;
@@ -276,6 +258,11 @@ LossUpdateResult loss_mode_update(const CsfTensor& tree,
   }
 
   LossUpdateResult result;
+  // An exception may not leave a worksharing region. The first one (a row
+  // system that is not positive definite, say) skips the remaining rows and
+  // is rethrown after the region; the region's closing barrier publishes it.
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;
 #if defined(AOADMM_HAVE_OPENMP)
 #pragma omp parallel
 #endif
@@ -287,19 +274,27 @@ LossUpdateResult loss_mode_update(const CsfTensor& tree,
 #pragma omp for schedule(dynamic, 8) nowait
 #endif
     for (std::ptrdiff_t r = 0; r < nroots; ++r) {
-      const auto rr = static_cast<std::size_t>(r);
-      const clock::time_point a0 = clock::now();
-      assemble_row(tree, factors, rr, zero_fill_s, scratch);
-      local.assemble_seconds +=
-          std::chrono::duration<double>(clock::now() - a0).count();
-      const RowOutcome row = solve_row(h, u_h, root_fids[rr], loss, prox,
-                                       opts, slope, state, scratch);
-      local.iterations = std::max<std::uint64_t>(local.iterations,
-                                                 row.iterations);
-      local.row_iterations += row.iterations;
-      local.primal_residual = std::max(local.primal_residual, row.primal);
-      local.dual_residual = std::max(local.dual_residual, row.dual);
-      local.rho_rebalances += row.rebalances;
+      if (failed.load(std::memory_order_relaxed)) {
+        continue;
+      }
+      try {
+        const auto rr = static_cast<std::size_t>(r);
+        const clock::time_point a0 = clock::now();
+        assemble_row(tree, factors, rr, zero_fill_s, scratch);
+        local.assemble_seconds +=
+            std::chrono::duration<double>(clock::now() - a0).count();
+        const RowOutcome row = solve_row(h, u_h, root_fids[rr], loss, prox,
+                                         opts, slope, state, scratch);
+        local.iterations = std::max(local.iterations, row.iterations);
+        local.row_iterations += row.iterations;
+        local.primal_residual = std::max(local.primal_residual, row.primal);
+        local.dual_residual = std::max(local.dual_residual, row.dual);
+        local.rho_rebalances += row.rebalances;
+      } catch (...) {
+        if (!failed.exchange(true)) {
+          error = std::current_exception();
+        }
+      }
     }
 #if defined(AOADMM_HAVE_OPENMP)
 #pragma omp critical(aoadmm_loss_mode_update)
@@ -317,6 +312,9 @@ LossUpdateResult loss_mode_update(const CsfTensor& tree,
       result.assemble_seconds =
           std::max(result.assemble_seconds, local.assemble_seconds);
     }
+  }
+  if (error) {
+    std::rethrow_exception(error);
   }
   return result;
 }

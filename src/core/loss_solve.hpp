@@ -23,7 +23,6 @@
 // compilation (per-row systems are assembled from mode-rooted subtrees).
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "core/admm.hpp"
@@ -53,18 +52,13 @@ struct LossWorkspace {
   void reset(const CsfSet& csf);
 };
 
-/// Aggregate outcome of one mode update (per-row worst/total, mirroring
-/// AdmmResult's role on the quadratic path).
-struct LossUpdateResult {
-  /// Largest per-row inner iteration count.
-  std::uint64_t iterations = 0;
-  /// Total inner iterations summed over rows (work measure).
-  std::uint64_t row_iterations = 0;
-  /// Worst relative residuals over rows, from the final iteration of each.
-  real_t primal_residual = 0;
-  real_t dual_residual = 0;
-  /// Adaptive-rho rescales summed over rows (0 unless opts.adaptive fired).
-  unsigned rho_rebalances = 0;
+/// Aggregate outcome of one mode update in the quadratic path's terms, so
+/// both paths report through the same code: `iterations` is the largest
+/// per-row count, `row_iterations` the sum over rows, the residuals are the
+/// worst rows' final ones and `rho_rebalances` is summed over rows. Every
+/// row runs its own penalty, so `rho` stays 0, and the guard-rail fields
+/// stay 0 because no guard rail runs here.
+struct LossUpdateResult : AdmmResult {
   /// Wall-clock seconds spent assembling the per-row Khatri-Rao systems —
   /// the generalized path's MTTKRP analogue (max over threads, so it is
   /// comparable to the quadratic path's per-mode kernel time).
@@ -76,7 +70,9 @@ struct LossUpdateResult {
 /// and run the two-split row ADMM above. `factors[mode]` holds h̄ and is
 /// updated in place together with the mode's dual matrix `u_h` and the
 /// warm split state. `zero_fill_s` is Π_{n≠mode} colsum_n (length F) for
-/// an unmasked loss with a zero-fill slope; pass empty otherwise.
+/// an unmasked loss with a zero-fill slope; pass empty otherwise. Throws
+/// NumericalError when a row system is not positive definite; rows not yet
+/// solved then keep their previous values.
 LossUpdateResult loss_mode_update(const CsfTensor& tree,
                                   std::vector<Matrix>& factors,
                                   Matrix& u_h, std::size_t mode,

@@ -42,21 +42,9 @@ struct ModeUpdateMetrics {
 
 }  // namespace
 
-ModeUpdateStats admm_mode_update(AdmmVariant variant, Matrix& factor,
-                                 Matrix& dual, const Matrix& mttkrp,
-                                 const Matrix& gram_prod,
-                                 const ProxOperator& prox,
-                                 const AdmmOptions& opts, AdmmScratch& scratch,
-                                 unsigned outer, std::size_t mode,
-                                 CpdResult& result) {
-  const RobustnessOptions& rb = opts.robustness;
+void record_inner_solve(const AdmmResult& ar, unsigned outer, std::size_t mode,
+                        CpdResult& result) {
   const ModeUpdateMetrics& metrics = ModeUpdateMetrics::get();
-
-  const AdmmResult ar =
-      variant == AdmmVariant::kBlocked
-          ? admm_update_blocked(factor, dual, mttkrp, gram_prod, prox, opts,
-                                scratch)
-          : admm_update(factor, dual, mttkrp, gram_prod, prox, opts, scratch);
   result.total_inner_iterations += ar.iterations;
   result.total_row_iterations += ar.row_iterations;
   metrics.admm_inner_iterations.observe(ar.iterations);
@@ -64,7 +52,8 @@ ModeUpdateStats admm_mode_update(AdmmVariant variant, Matrix& factor,
   metrics.admm_dual_residual.observe(static_cast<double>(ar.dual_residual));
 
   // Adaptive-rho interventions are reported whenever the feature is on,
-  // independent of the robustness master switch.
+  // independent of the robustness master switch; the guard-rail fields
+  // below are nonzero only when robustness intervened.
   if (ar.rho_rebalances > 0) {
     result.recovery.add({RecoveryKind::kRhoRebalance, outer, mode,
                          ar.rho_rebalances, static_cast<double>(ar.rho),
@@ -74,54 +63,67 @@ ModeUpdateStats admm_mode_update(AdmmVariant variant, Matrix& factor,
                      << ": adaptive rho rebalanced " << ar.rho_rebalances
                      << "x (final rho " << ar.rho << ")";
   }
+  if (ar.cholesky_attempts > 0) {
+    result.recovery.add({RecoveryKind::kCholeskyJitter, outer, mode,
+                         ar.cholesky_attempts,
+                         static_cast<double>(ar.cholesky_jitter),
+                         std::string(), {}});
+    metrics.robust_cholesky_jitter.add(1);
+    AOADMM_LOG_WARN << "outer " << outer << " mode " << mode
+                    << ": Cholesky needed a diagonal ridge of "
+                    << ar.cholesky_jitter << " (" << ar.cholesky_attempts
+                    << " jitter attempts)";
+  }
+  if (ar.restarts > 0) {
+    result.recovery.add({RecoveryKind::kAdmmRestart, outer, mode, ar.restarts,
+                         static_cast<double>(ar.rho), std::string(), {}});
+    metrics.robust_admm_restarts.add(ar.restarts);
+    AOADMM_LOG_WARN << "outer " << outer << " mode " << mode
+                    << ": divergent inner solve restarted " << ar.restarts
+                    << "x (final rho " << ar.rho << ")";
+  }
+  if (ar.abandoned) {
+    result.recovery.add({RecoveryKind::kAdmmAbandoned, outer, mode,
+                         ar.restarts, static_cast<double>(ar.rho),
+                         std::string(), {}});
+    metrics.robust_admm_abandoned.add(1);
+    AOADMM_LOG_WARN << "outer " << outer << " mode " << mode
+                    << ": inner solve abandoned after " << ar.restarts
+                    << " restarts; keeping previous iterate";
+  }
+}
 
-  if (rb.enabled) {
-    if (ar.cholesky_attempts > 0) {
-      result.recovery.add({RecoveryKind::kCholeskyJitter, outer, mode,
-                           ar.cholesky_attempts,
-                           static_cast<double>(ar.cholesky_jitter),
-                           std::string(), {}});
-      metrics.robust_cholesky_jitter.add(1);
-      AOADMM_LOG_WARN << "outer " << outer << " mode " << mode
-                      << ": Cholesky needed a diagonal ridge of "
-                      << ar.cholesky_jitter << " (" << ar.cholesky_attempts
-                      << " jitter attempts)";
+ModeUpdateStats admm_mode_update(AdmmVariant variant, Matrix& factor,
+                                 Matrix& dual, const Matrix& mttkrp,
+                                 const Matrix& gram_prod,
+                                 const ProxOperator& prox,
+                                 const AdmmOptions& opts, AdmmScratch& scratch,
+                                 unsigned outer, std::size_t mode,
+                                 CpdResult& result) {
+  const RobustnessOptions& rb = opts.robustness;
+  const AdmmResult ar =
+      variant == AdmmVariant::kBlocked
+          ? admm_update_blocked(factor, dual, mttkrp, gram_prod, prox, opts,
+                                scratch)
+          : admm_update(factor, dual, mttkrp, gram_prod, prox, opts, scratch);
+  record_inner_solve(ar, outer, mode, result);
+
+  // Factor sentinel: a contaminated update would poison the Gram matrices
+  // and, through them, every other mode. Roll back to the entry iterate the
+  // ADMM scratch snapshotted for this mode.
+  if (rb.enabled && rb.check_finite && !all_finite(factor)) {
+    if (!all_finite(scratch.h_entry)) {
+      throw NumericalError("factor " + std::to_string(mode) +
+                           " is non-finite and so is its pre-update "
+                           "iterate; cannot recover");
     }
-    if (ar.restarts > 0) {
-      result.recovery.add({RecoveryKind::kAdmmRestart, outer, mode,
-                           ar.restarts, static_cast<double>(ar.rho),
-                           std::string(), {}});
-      metrics.robust_admm_restarts.add(ar.restarts);
-      AOADMM_LOG_WARN << "outer " << outer << " mode " << mode
-                      << ": divergent inner solve restarted " << ar.restarts
-                      << "x (final rho " << ar.rho << ")";
-    }
-    if (ar.abandoned) {
-      result.recovery.add({RecoveryKind::kAdmmAbandoned, outer, mode,
-                           ar.restarts, static_cast<double>(ar.rho),
-                           std::string(), {}});
-      metrics.robust_admm_abandoned.add(1);
-      AOADMM_LOG_WARN << "outer " << outer << " mode " << mode
-                      << ": inner solve abandoned after " << ar.restarts
-                      << " restarts; keeping previous iterate";
-    }
-    // Factor sentinel: a contaminated update would poison the Gram
-    // matrices and, through them, every other mode. Roll back to the entry
-    // iterate the ADMM scratch snapshotted for this mode.
-    if (rb.check_finite && !all_finite(factor)) {
-      if (!all_finite(scratch.h_entry)) {
-        throw NumericalError("factor " + std::to_string(mode) +
-                             " is non-finite and so is its pre-update "
-                             "iterate; cannot recover");
-      }
-      factor = scratch.h_entry;
-      dual.zero();
-      result.recovery.add({RecoveryKind::kFactorRollback, outer, mode, 1, 0,
-                           std::string(), {}});
-      metrics.robust_factor_rollbacks.add(1);
-      AOADMM_LOG_WARN << "outer " << outer << " mode " << mode
-                      << ": non-finite factor update rolled back";
-    }
+    factor = scratch.h_entry;
+    dual.zero();
+    result.recovery.add({RecoveryKind::kFactorRollback, outer, mode, 1, 0,
+                         std::string(), {}});
+    ModeUpdateMetrics::get().robust_factor_rollbacks.add(1);
+    AOADMM_LOG_WARN << "outer " << outer << " mode " << mode
+                    << ": non-finite factor update rolled back";
   }
 
   return {ar.iterations, ar.primal_residual, ar.dual_residual};

@@ -25,6 +25,14 @@ struct ModeUpdateStats {
   double mttkrp_seconds = 0;
 };
 
+/// Fold one inner solve's outcome into `result` and the metrics registry:
+/// the iteration totals, the residual histograms and one recovery event
+/// (with its counter and log line) per intervention it reports — adaptive-ρ
+/// rebalances, Cholesky jitter, divergence restarts, abandonment. The
+/// generalized-loss path reports its LossUpdateResult through it too.
+void record_inner_solve(const AdmmResult& ar, unsigned outer, std::size_t mode,
+                        CpdResult& result);
+
 /// Run the configured ADMM variant on one mode's assembled system
 /// (factor/dual updated in place), record every robustness intervention
 /// into `result` and the metrics registry, and perform the non-finite

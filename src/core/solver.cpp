@@ -14,31 +14,19 @@
 namespace aoadmm {
 namespace {
 
-/// Registry handles the CpdSolver reports into; registered once per process.
-struct CpdMetrics {
-  detail::LoopMetrics loop;
-  obs::Counter robust_rho_rebalances;
-  obs::Histogram admm_inner_iterations;
-  obs::Histogram admm_primal_residual;
-  obs::Histogram admm_dual_residual;
-
-  static const CpdMetrics& get() {
-    static const CpdMetrics m = [] {
-      auto& reg = obs::MetricsRegistry::global();
-      CpdMetrics out;
-      out.loop = detail::LoopMetrics::family("cpd");
-      out.loop.sparse_mttkrp_calls = reg.counter("cpd/sparse_mttkrp_calls");
-      out.loop.mttkrp_seconds = reg.counter("cpd/mttkrp_seconds");
-      out.loop.admm_seconds = reg.counter("cpd/admm_seconds");
-      out.robust_rho_rebalances = reg.counter("robust/rho_rebalances");
-      out.admm_inner_iterations = reg.histogram("admm/inner_iterations");
-      out.admm_primal_residual = reg.histogram("admm/primal_residual");
-      out.admm_dual_residual = reg.histogram("admm/dual_residual");
-      return out;
-    }();
-    return m;
-  }
-};
+/// Outer-loop registry handles the CpdSolver reports into; registered once
+/// per process.
+const detail::LoopMetrics& cpd_loop_metrics() {
+  static const detail::LoopMetrics m = [] {
+    auto& reg = obs::MetricsRegistry::global();
+    detail::LoopMetrics out = detail::LoopMetrics::family("cpd");
+    out.sparse_mttkrp_calls = reg.counter("cpd/sparse_mttkrp_calls");
+    out.mttkrp_seconds = reg.counter("cpd/mttkrp_seconds");
+    out.admm_seconds = reg.counter("cpd/admm_seconds");
+    return out;
+  }();
+  return m;
+}
 
 }  // namespace
 
@@ -223,25 +211,14 @@ class CpdSolver::LossStep final : public detail::OuterLoopStep {
 
   detail::ModeUpdateStats update(unsigned outer, std::size_t m,
                                  CpdResult& result) override {
-    const CpdMetrics& metrics = CpdMetrics::get();
     const LossUpdateResult lr = loss_mode_update(
         s_.csf_.for_mode(m), st_.factors, st_.duals[m], m, *s_.loss_,
         *st_.prox[m], s_.config_.admm,
         {zero_fill_s_.data(), zero_fill_s_.size()}, s_.loss_ws_.modes[m]);
-    result.total_inner_iterations += lr.iterations;
-    result.total_row_iterations += lr.row_iterations;
-    metrics.admm_inner_iterations.observe(static_cast<double>(lr.iterations));
-    metrics.admm_primal_residual.observe(
-        static_cast<double>(lr.primal_residual));
-    metrics.admm_dual_residual.observe(static_cast<double>(lr.dual_residual));
-    if (lr.rho_rebalances > 0) {
-      result.recovery.add({RecoveryKind::kRhoRebalance, outer, m,
-                           lr.rho_rebalances, 0, std::string(), {}});
-      metrics.robust_rho_rebalances.add(lr.rho_rebalances);
-    }
+    detail::record_inner_solve(lr, outer, m, result);
     // Row-system assembly is this path's MTTKRP: book it there.
-    return {static_cast<unsigned>(lr.iterations), lr.primal_residual,
-            lr.dual_residual, lr.assemble_seconds};
+    return {lr.iterations, lr.primal_residual, lr.dual_residual,
+            lr.assemble_seconds};
   }
 
   detail::LoopFit fit(unsigned outer, CpdResult& result) override {
@@ -267,7 +244,7 @@ class CpdSolver::LossStep final : public detail::OuterLoopStep {
 
 CpdResult CpdSolver::run(unsigned start_outer, real_t prev_error,
                          CpdResult result) {
-  const detail::OuterLoop loop(config_, CpdMetrics::get().loop);
+  const detail::OuterLoop loop(config_, cpd_loop_metrics());
   if (loss_->quadratic()) {
     detail::LocalStep step(csf_, config_, resolved_kernel_, x_norm_sq_,
                            state_);

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/stream_bytes.hpp"
 
 namespace aoadmm {
 namespace {
@@ -365,23 +366,45 @@ CooTensor read_binary_file(const std::string& path) {
   if (!in) {
     throw InvalidArgument("cannot open tensor file: " + path);
   }
+  const auto fail = [&path](const std::string& why) {
+    return ParseError(why + " in binary tensor file: " + path);
+  };
   char magic[sizeof(kBinaryMagic)];
   in.read(magic, sizeof(magic));
   if (!in || std::memcmp(magic, kBinaryMagic, sizeof(magic)) != 0) {
-    throw ParseError("bad magic in binary tensor file: " + path);
+    throw fail("bad magic");
   }
   std::uint64_t order = 0;
   std::uint64_t nnz = 0;
   in.read(reinterpret_cast<char*>(&order), sizeof(order));
   in.read(reinterpret_cast<char*>(&nnz), sizeof(nnz));
   if (!in || order == 0 || order > 64) {
-    throw ParseError("corrupt header in binary tensor file: " + path);
+    throw fail("corrupt header");
   }
   std::vector<index_t> dims(order);
-  for (auto& d : dims) {
+  for (std::size_t m = 0; m < order; ++m) {
     std::uint64_t v = 0;
     in.read(reinterpret_cast<char*>(&v), sizeof(v));
-    d = static_cast<index_t>(v);
+    if (!in) {
+      throw fail("truncated header");
+    }
+    if (v == 0 || v > std::numeric_limits<index_t>::max()) {
+      throw fail("mode " + std::to_string(m) + " length " +
+                 std::to_string(v) + " outside [1, " +
+                 std::to_string(std::numeric_limits<index_t>::max()) + "]");
+    }
+    dims[m] = static_cast<index_t>(v);
+  }
+  // The header's counts must fit the bytes the file holds before anything
+  // is sized from them.
+  std::uint64_t coord_bytes = 0;
+  std::uint64_t value_bytes = 0;
+  std::uint64_t need = 0;
+  if (__builtin_mul_overflow(order * sizeof(index_t), nnz, &coord_bytes) ||
+      __builtin_mul_overflow(nnz, sizeof(real_t), &value_bytes) ||
+      __builtin_add_overflow(coord_bytes, value_bytes, &need) ||
+      need > bytes_left(in)) {
+    throw fail(std::to_string(nnz) + " non-zeros need more bytes than remain");
   }
   std::vector<std::vector<index_t>> coords(order,
                                            std::vector<index_t>(nnz));
@@ -393,7 +416,7 @@ CooTensor read_binary_file(const std::string& path) {
   in.read(reinterpret_cast<char*>(vals.data()),
           static_cast<std::streamsize>(nnz * sizeof(real_t)));
   if (!in) {
-    throw ParseError("truncated binary tensor file: " + path);
+    throw fail("truncated data");
   }
 
   CooTensor out(dims);
@@ -402,6 +425,14 @@ CooTensor read_binary_file(const std::string& path) {
   for (offset_t n = 0; n < nnz; ++n) {
     for (std::size_t m = 0; m < order; ++m) {
       c[m] = coords[m][n];
+      if (c[m] >= dims[m]) {
+        throw fail("non-zero " + std::to_string(n) + ": mode " +
+                   std::to_string(m) + " index " + std::to_string(c[m]) +
+                   " outside its length " + std::to_string(dims[m]));
+      }
+    }
+    if (!std::isfinite(vals[n])) {
+      throw fail("non-zero " + std::to_string(n) + ": non-finite value");
     }
     out.add(c, vals[n]);
   }

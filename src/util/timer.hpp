@@ -1,11 +1,8 @@
-// Wall-clock timers and a named-timer registry used by the CPD driver to
-// report per-kernel breakdowns (MTTKRP vs ADMM vs other — paper Fig. 3).
+// Wall-clock timers the drivers use to report per-kernel breakdowns
+// (MTTKRP vs ADMM vs other — paper Fig. 3).
 #pragma once
 
 #include <chrono>
-#include <map>
-#include <mutex>
-#include <string>
 
 namespace aoadmm {
 
@@ -54,43 +51,6 @@ class ScopedTimer {
 
  private:
   Timer& t_;
-};
-
-/// A set of named timers, e.g. {"mttkrp", "admm", "fit"}.
-///
-/// Name lookup (and the map insertion it may trigger) is guarded by an
-/// internal mutex, so concurrent first-touches of different names are
-/// safe. The returned Timer& itself is NOT synchronized: as with any
-/// Timer, start/stop on one timer must stay within one thread.
-class TimerSet {
- public:
-  /// Timer registered under `name`, inserting it on first use.
-  /// Thread-safe; the reference stays valid for the TimerSet's lifetime
-  /// (map nodes are stable under insertion).
-  Timer& operator[](const std::string& name) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return timers_[name];
-  }
-
-  /// Seconds accumulated under `name` (0 if never started). Thread-safe
-  /// against concurrent operator[] insertions.
-  double seconds(const std::string& name) const;
-
-  /// Sum of all timers.
-  double total_seconds() const;
-
-  void reset_all();
-
-  /// Snapshot of the registered timers. Copies under the lock — safe to
-  /// iterate while other threads keep inserting.
-  std::map<std::string, Timer> timers() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return timers_;
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, Timer> timers_;
 };
 
 }  // namespace aoadmm

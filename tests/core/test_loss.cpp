@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/eval.hpp"
+#include "core/loss_solve.hpp"
 #include "core/prox.hpp"
 #include "core/solver.hpp"
 #include "tensor/synthetic.hpp"
@@ -472,6 +473,33 @@ TEST(LossRecovery, L1ObjectiveDecreasesAndFits) {
   expect_monotone(r.objective_trace);
   EXPECT_LT(r.objective_trace.back(), r.objective_trace.front());
   EXPECT_LT(r.relative_error, 0.25);
+}
+
+TEST(LossSolve, RowSystemThatIsNotPositiveDefiniteThrowsNumericalError) {
+  // One non-zero per mode-0 row makes every row Gram rank one, and with
+  // factor entries of 1e12 the "+ I" that should make it definite rounds
+  // away. The failure must reach the caller as an exception, not end the
+  // process from inside the parallel region.
+  CooTensor x({3, 3, 3});
+  for (index_t i = 0; i < 3; ++i) {
+    const index_t c[3] = {i, i, static_cast<index_t>((i + 1) % 3)};
+    x.add({c, 3}, 1.0 + i);
+  }
+  const CsfSet csf(x);
+  std::vector<Matrix> factors(3, Matrix(3, 3));
+  for (Matrix& a : factors) {
+    for (real_t& v : a.flat()) {
+      v = 1e12;
+    }
+  }
+  Matrix u_h(3, 3);
+  LossWorkspace ws;
+  ws.reset(csf);
+  const auto loss = make_loss({LossKind::kKL});
+  const auto prox = make_prox({ConstraintKind::kNonNegative});
+  EXPECT_THROW(loss_mode_update(csf.for_mode(0), factors, u_h, 0, *loss,
+                                *prox, AdmmOptions{}, {}, ws.modes[0]),
+               NumericalError);
 }
 
 TEST(LossDeterminism, RepeatedSolvesAreBitwiseIdentical) {

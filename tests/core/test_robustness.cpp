@@ -173,42 +173,53 @@ TEST(Robustness, AdmmCleanRunReportsNoInterventions) {
 }
 
 TEST(Robustness, AdmmNanRhsAbandonsAfterBoundedRestarts) {
-  Instance inst = make_instance(25, 3, 4);
-  inst.k(0, 0) = std::numeric_limits<real_t>::quiet_NaN();
-  Rng rng(5);
-  Matrix h = Matrix::random_uniform(25, 3, rng, 0.0, 1.0);
-  const Matrix h_entry = h;
-  Matrix u(25, 3);
-  AdmmScratch scratch;
-  const auto prox = make_prox({ConstraintKind::kNonNegative});
-  AdmmOptions opts = robust_options();
-  opts.robustness.max_recoveries = 2;
-  const AdmmResult r =
-      admm_update(h, u, inst.k, inst.g, *prox, opts, scratch);
-  // NaN in the rhs contaminates every iterate, so each restart diverges
-  // again; the solve must give up after its budget and roll back.
-  EXPECT_TRUE(r.abandoned);
-  EXPECT_EQ(r.restarts, 2u);
-  EXPECT_TRUE(all_finite(h));
-  EXPECT_LT(max_abs_diff(h, h_entry), 1e-12);  // entry iterate restored
-  EXPECT_TRUE(all_finite(u));
+  for (const bool adaptive : {false, true}) {
+    SCOPED_TRACE(adaptive ? "adaptive rho" : "fixed rho");
+    Instance inst = make_instance(25, 3, 4);
+    inst.k(0, 0) = std::numeric_limits<real_t>::quiet_NaN();
+    Rng rng(5);
+    Matrix h = Matrix::random_uniform(25, 3, rng, 0.0, 1.0);
+    const Matrix h_entry = h;
+    Matrix u(25, 3);
+    AdmmScratch scratch;
+    const auto prox = make_prox({ConstraintKind::kNonNegative});
+    AdmmOptions opts = robust_options();
+    opts.robustness.max_recoveries = 2;
+    opts.adaptive.enabled = adaptive;
+    const AdmmResult r =
+        admm_update(h, u, inst.k, inst.g, *prox, opts, scratch);
+    // NaN in the rhs contaminates every iterate, so each restart diverges
+    // again; the solve must give up after its budget and roll back.
+    EXPECT_TRUE(r.abandoned);
+    EXPECT_EQ(r.restarts, 2u);
+    EXPECT_TRUE(all_finite(h));
+    EXPECT_LT(max_abs_diff(h, h_entry), 1e-12);  // entry iterate restored
+    EXPECT_TRUE(all_finite(u));
+  }
 }
 
 TEST(Robustness, AdmmBlockedNanRhsAbandonsAfterBoundedRestarts) {
-  Instance inst = make_instance(37, 3, 6);
-  inst.k(5, 1) = std::numeric_limits<real_t>::quiet_NaN();
-  Matrix h(37, 3);
-  Matrix u(37, 3);
-  AdmmScratch scratch;
-  const auto prox = make_prox({ConstraintKind::kNonNegative});
-  AdmmOptions opts = robust_options();
-  opts.robustness.max_recoveries = 1;
-  const AdmmResult r =
-      admm_update_blocked(h, u, inst.k, inst.g, *prox, opts, scratch);
-  EXPECT_TRUE(r.abandoned);
-  EXPECT_EQ(r.restarts, 1u);
-  EXPECT_TRUE(all_finite(h));
-  EXPECT_TRUE(all_finite(u));
+  for (const bool adaptive : {false, true}) {
+    SCOPED_TRACE(adaptive ? "adaptive rho" : "fixed rho");
+    Instance inst = make_instance(37, 3, 6);
+    inst.k(5, 1) = std::numeric_limits<real_t>::quiet_NaN();
+    Rng rng(7);
+    Matrix h = Matrix::random_uniform(37, 3, rng, 0.0, 1.0);
+    const Matrix h_entry = h;
+    Matrix u(37, 3);
+    AdmmScratch scratch;
+    const auto prox = make_prox({ConstraintKind::kNonNegative});
+    AdmmOptions opts = robust_options();
+    opts.robustness.max_recoveries = 1;
+    opts.adaptive.enabled = adaptive;
+    const AdmmResult r =
+        admm_update_blocked(h, u, inst.k, inst.g, *prox, opts, scratch);
+    EXPECT_TRUE(r.abandoned);
+    EXPECT_EQ(r.restarts, 1u);
+    EXPECT_TRUE(all_finite(h));
+    EXPECT_LT(max_abs_diff(h, h_entry), 1e-12);  // entry iterate restored
+    EXPECT_TRUE(all_finite(u));
+  }
 }
 
 TEST(Robustness, RestartRescalesRho) {

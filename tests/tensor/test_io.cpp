@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "testing/helpers.hpp"
@@ -248,6 +249,63 @@ TEST(BinaryIo, RejectsTruncatedFile) {
   // Truncate to half size.
   const auto size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, size / 2);
+  EXPECT_THROW(read_binary_file(path), ParseError);
+}
+
+/// A binary tensor file written field by field, so a test can make its
+/// header disagree with its contents.
+void write_raw_binary(const std::string& path, std::uint64_t order,
+                      std::uint64_t nnz, const std::vector<std::uint64_t>& dims,
+                      const std::vector<index_t>& coords,
+                      const std::vector<real_t>& vals) {
+  std::ofstream out(path, std::ios::binary);
+  const char magic[8] = {'A', 'O', 'T', 'N', 'S', '1', 0, 0};
+  out.write(magic, sizeof(magic));
+  out.write(reinterpret_cast<const char*>(&order), sizeof(order));
+  out.write(reinterpret_cast<const char*>(&nnz), sizeof(nnz));
+  out.write(reinterpret_cast<const char*>(dims.data()),
+            static_cast<std::streamsize>(dims.size() * sizeof(std::uint64_t)));
+  out.write(reinterpret_cast<const char*>(coords.data()),
+            static_cast<std::streamsize>(coords.size() * sizeof(index_t)));
+  out.write(reinterpret_cast<const char*>(vals.data()),
+            static_cast<std::streamsize>(vals.size() * sizeof(real_t)));
+}
+
+TEST(BinaryIo, RejectsNonZeroCountBeyondTheFile) {
+  // A 48-byte header claiming 2^62 non-zeros must fail before any
+  // allocation is sized from it.
+  const TempDir dir;
+  const std::string path = dir.file("huge.bin");
+  write_raw_binary(path, 3, std::uint64_t{1} << 62, {4, 4, 4}, {}, {});
+  EXPECT_THROW(read_binary_file(path), ParseError);
+}
+
+TEST(BinaryIo, RejectsDimensionBeyondIndexType) {
+  const TempDir dir;
+  const std::string path = dir.file("wide.bin");
+  write_raw_binary(path, 3, 1, {(std::uint64_t{1} << 32) + 3, 2, 2},
+                   {1, 1, 1}, {1.0});
+  EXPECT_THROW(read_binary_file(path), ParseError);
+}
+
+TEST(BinaryIo, RejectsCoordinateOutsideItsMode) {
+  const TempDir dir;
+  const std::string path = dir.file("oob.bin");
+  write_raw_binary(path, 3, 1, {4, 4, 4}, {9, 1, 1}, {1.0});
+  try {
+    read_binary_file(path);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("oob.bin"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(BinaryIo, RejectsNanValue) {
+  const TempDir dir;
+  const std::string path = dir.file("nan.bin");
+  write_raw_binary(path, 3, 1, {4, 4, 4}, {1, 2, 3},
+                   {std::numeric_limits<real_t>::quiet_NaN()});
   EXPECT_THROW(read_binary_file(path), ParseError);
 }
 

@@ -90,44 +90,6 @@ TEST(TimerTest, ScopedTimerStops) {
   EXPECT_DOUBLE_EQ(t.seconds(), after);  // not running anymore
 }
 
-TEST(TimerSetTest, NamedAccumulation) {
-  TimerSet ts;
-  ts["a"].start();
-  ts["a"].stop();
-  EXPECT_GE(ts.seconds("a"), 0.0);
-  EXPECT_DOUBLE_EQ(ts.seconds("missing"), 0.0);
-  EXPECT_GE(ts.total_seconds(), ts.seconds("a"));
-  ts.reset_all();
-  EXPECT_DOUBLE_EQ(ts.total_seconds(), 0.0);
-}
-
-TEST(TimerSetTest, ConcurrentFirstTouchIsSafe) {
-  // Concurrent operator[] insertions of distinct names used to race on the
-  // underlying map; with the internal lock every name must survive.
-  TimerSet ts;
-  constexpr int kThreads = 8;
-  constexpr int kNamesPerThread = 25;
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&ts, t] {
-      for (int i = 0; i < kNamesPerThread; ++i) {
-        Timer& timer =
-            ts["t" + std::to_string(t) + "_n" + std::to_string(i)];
-        timer.start();
-        timer.stop();
-        // Reads may interleave with other threads' insertions.
-        (void)ts.total_seconds();
-      }
-    });
-  }
-  for (auto& w : workers) {
-    w.join();
-  }
-  EXPECT_EQ(ts.timers().size(),
-            static_cast<std::size_t>(kThreads * kNamesPerThread));
-}
-
 TEST(Log, LevelFromStringParsesNamesAndNumbers) {
   EXPECT_EQ(log_level_from_string("error"), LogLevel::kError);
   EXPECT_EQ(log_level_from_string("WARN"), LogLevel::kWarn);
