@@ -581,7 +581,8 @@ int cmd_cpd(const Options& opts) {
 
   std::printf("\nvariant         : %s / %s leaf\n", to_string(config.variant),
               to_string(config.leaf_format));
-  std::printf("mttkrp          : kernel %s\n", to_string(kernel));
+  std::printf("mttkrp          : kernel %s, %s\n", to_string(kernel),
+              mttkrp_isa_flavor());
   if (sharded) {
     std::printf("shards          : %zu  exchange %llu msgs / %.2f MiB%s\n",
                 shard_count,

@@ -114,6 +114,8 @@ struct RowOutcome {
   real_t primal = 0;
   real_t dual = 0;
   unsigned rebalances = 0;
+  unsigned cholesky_attempts = 0;
+  real_t cholesky_jitter = 0;
 };
 
 /// Two-split ADMM on one assembled row. h̄ lives in h_mat's row (through
@@ -127,10 +129,23 @@ RowOutcome solve_row(Matrix& h_mat, Matrix& u_mat, std::size_t row,
   const std::size_t nnz = s.xs.size();
   real_t rho = detail::admm_penalty(s.g);
   // The h-system (G + I) is rho-independent: factor once, rebalance freely.
+  // With the guard rails on, a system the "+ I" cannot make definite (huge
+  // factor entries round it away) gets a diagonal ridge instead of a throw.
   for (std::size_t col = 0; col < f; ++col) {
     s.g(col, col) += real_t{1};
   }
-  const Cholesky chol(s.g);
+  RowOutcome out;
+  Cholesky chol;
+  const RobustnessOptions& rb = opts.robustness;
+  if (rb.enabled) {
+    const CholeskyReport cr = chol.factor_guarded(
+        s.g, {rb.cholesky_max_attempts, rb.cholesky_initial_jitter,
+              rb.cholesky_jitter_growth});
+    out.cholesky_attempts = cr.attempts;
+    out.cholesky_jitter = cr.jitter;
+  } else {
+    chol.factor(s.g);
+  }
 
   real_t* __restrict hbar = h_mat.data() + row * f;
   real_t* __restrict uh = u_mat.data() + row * f;
@@ -141,7 +156,6 @@ RowOutcome solve_row(Matrix& h_mat, Matrix& u_mat, std::size_t row,
   real_t* __restrict ut = state.u_t.data();
   const AdaptiveRhoOptions& ad = opts.adaptive;
 
-  RowOutcome out;
   while (out.iterations < opts.max_iterations) {
     // h-update: (G + I) h = Bᵀ(t − u_t) + (h̄ − u_h) − c/ρ.
     for (std::size_t col = 0; col < f; ++col) {
@@ -290,6 +304,9 @@ LossUpdateResult loss_mode_update(const CsfTensor& tree,
         local.primal_residual = std::max(local.primal_residual, row.primal);
         local.dual_residual = std::max(local.dual_residual, row.dual);
         local.rho_rebalances += row.rebalances;
+        local.cholesky_attempts += row.cholesky_attempts;
+        local.cholesky_jitter =
+            std::max(local.cholesky_jitter, row.cholesky_jitter);
       } catch (...) {
         if (!failed.exchange(true)) {
           error = std::current_exception();
@@ -307,6 +324,10 @@ LossUpdateResult loss_mode_update(const CsfTensor& tree,
       result.dual_residual =
           std::max(result.dual_residual, local.dual_residual);
       result.rho_rebalances += local.rho_rebalances;
+      // A sum and a max: the same whatever order the threads arrive in.
+      result.cholesky_attempts += local.cholesky_attempts;
+      result.cholesky_jitter =
+          std::max(result.cholesky_jitter, local.cholesky_jitter);
       // Max over threads: the assembly phases overlap, so the busiest
       // thread's total is the wall-clock share assembly is responsible for.
       result.assemble_seconds =

@@ -1,7 +1,10 @@
 #include "mttkrp/alto.hpp"
 
-#include "mttkrp/alto_kernels.inl"
+#include <algorithm>
+
+#include "mttkrp/isa.hpp"
 #include "mttkrp/mttkrp_obs.hpp"
+#include "parallel/runtime.hpp"
 #include "util/error.hpp"
 
 namespace aoadmm {
@@ -30,14 +33,8 @@ void mttkrp_alto(const AltoTensor& alto, cspan<const Matrix> factors,
   const int planned = std::max(max_threads(), 1);
   const MttkrpSchedule sched =
       detail::resolve_nonroot_schedule(schedule, out_rows, f, planned);
-
-  if (detail::alto_bmi2_available()) {
-    detail::mttkrp_alto_bmi2(alto, factors, target_mode, f, out, sched,
-                             planned);
-    return;
-  }
-  run_alto_kernels(alto, factors, target_mode, f, out, sched, planned,
-                   RunDecode{alto});
+  detail::active_mttkrp_kernels().alto(alto, factors, target_mode, out,
+                                       sched, planned);
 }
 
 }  // namespace aoadmm

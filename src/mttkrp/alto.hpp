@@ -6,7 +6,10 @@
 // (perfectly even by construction), which load-balances power-law tensors
 // whose root-slice weights defeat CSF fiber splitting. Scatter reductions
 // reuse the CSF non-root machinery: per-thread privatized copies
-// (kWeighted) or owner-computes slot buffers + fixup (kOwner).
+// (kWeighted) or owner-computes slot buffers + fixup (kOwner). The bodies
+// live in mttkrp/alto_kernels.inl, compiled once per ISA flavor
+// (mttkrp/isa.hpp); the v3/v4 flavors decode each coordinate with one BMI2
+// `pext`.
 #pragma once
 
 #include "la/matrix.hpp"
@@ -22,18 +25,5 @@ namespace aoadmm {
 void mttkrp_alto(const AltoTensor& alto, cspan<const Matrix> factors,
                  std::size_t target_mode, Matrix& out,
                  MttkrpSchedule schedule = MttkrpSchedule::kAuto);
-
-namespace detail {
-
-/// BMI2-specialized kernel body (mttkrp/alto_bmi2.cpp — compiled with
-/// -mbmi2 on x86-64 so the single-instruction pext decode inlines into the
-/// non-zero walk). True only when the running CPU reports BMI2; call
-/// mttkrp_alto_bmi2 only then. `sched` must be resolved (never kAuto).
-bool alto_bmi2_available() noexcept;
-void mttkrp_alto_bmi2(const AltoTensor& alto, cspan<const Matrix> factors,
-                      std::size_t target_mode, std::size_t f, Matrix& out,
-                      MttkrpSchedule sched, int planned);
-
-}  // namespace detail
 
 }  // namespace aoadmm

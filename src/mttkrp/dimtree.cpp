@@ -3,12 +3,8 @@
 #include <algorithm>
 
 #include "mttkrp/alto.hpp"
-#include "mttkrp/microkernels.hpp"
-#include "mttkrp/mttkrp_impl.hpp"
 #include "mttkrp/mttkrp_obs.hpp"
-#include "mttkrp/thread_scratch.hpp"
 #include "obs/metrics.hpp"
-#include "obs/parallel_stats.hpp"
 #include "parallel/runtime.hpp"
 #include "tensor/alto.hpp"
 #include "util/error.hpp"
@@ -80,7 +76,8 @@ void DimTreeEngine::invalidate_all() noexcept {
   std::fill(down_valid_.begin(), down_valid_.end(), char{0});
 }
 
-void DimTreeEngine::compose_bounds(std::size_t level, int planned) {
+cspan<std::size_t> DimTreeEngine::compose_bounds(std::size_t level,
+                                                 int planned) {
   const auto& root_bounds =
       tree_->root_partition(static_cast<std::size_t>(planned));
   bounds_buf_.assign(root_bounds.begin(), root_bounds.end());
@@ -90,325 +87,48 @@ void DimTreeEngine::compose_bounds(std::size_t level, int planned) {
       b = static_cast<std::size_t>(fptr[b]);
     }
   }
+  return bounds_buf_;
 }
 
-/// up[l][n] = sum over children c of inclusive(c). Disjoint writes per node,
-/// parallel over the composed root chunks at level l.
-template <int R>
-void DimTreeEngine::refresh_up(std::size_t level, cspan<const Matrix> factors,
-                               int planned) {
-  using Ops = RowOps<R>;
-  const std::size_t f = rank_;
-  const bool child_is_leaf = (level + 1 == order_ - 1);
-  const auto fptr = tree_->fptr(level);
-  const auto child_fids = tree_->fids(level + 1);
-  const auto vals = tree_->vals();
-  const real_t* __restrict child_factor =
-      factors[tree_->level_mode(level + 1)].data();
-  const real_t* __restrict up_next =
-      child_is_leaf ? nullptr : up_[level + 1].data();
-  real_t* __restrict up = up_[level].data();
-
-  compose_bounds(level, planned);
-  const std::size_t parts = bounds_buf_.size() - 1;
-  const std::size_t* __restrict bounds = bounds_buf_.data();
-  obs::BusyTimes busy(planned, obs::RegionDomain::kMttkrp);
-
-#if defined(AOADMM_HAVE_OPENMP)
-#pragma omp parallel
-#endif
-  {
-    const int tid = thread_id();
-    const auto team = static_cast<std::size_t>(std::max(team_size(), 1));
-    const double t0 = mttkrp_now();
-    for (std::size_t c = static_cast<std::size_t>(tid); c < parts;
-         c += team) {
-      for (std::size_t n = bounds[c]; n < bounds[c + 1]; ++n) {
-        real_t* __restrict z = up + n * f;
-        Ops::zero(z, f);
-        for (offset_t ch = fptr[n]; ch < fptr[n + 1]; ++ch) {
-          const real_t* __restrict row =
-              child_factor + static_cast<std::size_t>(child_fids[ch]) * f;
-          if (child_is_leaf) {
-            Ops::axpy(z, vals[ch], row, f);
-          } else {
-            Ops::mul_add(z, up_next + static_cast<std::size_t>(ch) * f, row,
-                         f);
-          }
-        }
-      }
-    }
-    busy.add(tid, mttkrp_now() - t0);
-  }
-}
-
-/// down[l][c] = down[l-1][parent(c)] ∘ row(c). Iterates the parents at
-/// level l-1 so each child is written exactly once.
-template <int R>
-void DimTreeEngine::refresh_down(std::size_t level,
-                                 cspan<const Matrix> factors, int planned) {
-  using Ops = RowOps<R>;
-  const std::size_t f = rank_;
-  const std::size_t pl = level - 1;
-  const auto fptr = tree_->fptr(pl);
-  const auto fids = tree_->fids(level);
-  const auto root_fids = tree_->fids(0);
-  const real_t* __restrict own_factor =
-      factors[tree_->level_mode(level)].data();
-  const real_t* __restrict root_factor =
-      factors[tree_->level_mode(0)].data();
-  const real_t* __restrict down_parent = pl >= 1 ? down_[pl].data() : nullptr;
-  real_t* __restrict down = down_[level].data();
-
-  compose_bounds(pl, planned);
-  const std::size_t parts = bounds_buf_.size() - 1;
-  const std::size_t* __restrict bounds = bounds_buf_.data();
-  obs::BusyTimes busy(planned, obs::RegionDomain::kMttkrp);
-
-#if defined(AOADMM_HAVE_OPENMP)
-#pragma omp parallel
-#endif
-  {
-    const int tid = thread_id();
-    const auto team = static_cast<std::size_t>(std::max(team_size(), 1));
-    const double t0 = mttkrp_now();
-    for (std::size_t c = static_cast<std::size_t>(tid); c < parts;
-         c += team) {
-      for (std::size_t p = bounds[c]; p < bounds[c + 1]; ++p) {
-        const real_t* __restrict base =
-            pl == 0 ? root_factor + static_cast<std::size_t>(root_fids[p]) * f
-                    : down_parent + p * f;
-        for (offset_t ch = fptr[p]; ch < fptr[p + 1]; ++ch) {
-          Ops::mul(down + static_cast<std::size_t>(ch) * f, base,
-                   own_factor + static_cast<std::size_t>(fids[ch]) * f, f);
-        }
-      }
-    }
-    busy.add(tid, mttkrp_now() - t0);
-  }
-}
-
-/// Root target: K(root_fid(r)) = sum over level-1 children of
-/// row(c) ∘ up[1][c]. Root rows are distinct, so writes are race-free.
-template <int R>
-void DimTreeEngine::combine_root(cspan<const Matrix> factors, Matrix& out,
-                                 int planned) {
-  using Ops = RowOps<R>;
-  const std::size_t f = rank_;
-  const auto root_fids = tree_->fids(0);
-  const auto fptr = tree_->fptr(0);
-  const auto child_fids = tree_->fids(1);
-  const real_t* __restrict child_factor =
-      factors[tree_->level_mode(1)].data();
-  const real_t* __restrict up1 = up_[1].data();
-
-  const auto& bounds =
-      tree_->root_partition(static_cast<std::size_t>(planned));
-  const std::size_t parts = bounds.size() - 1;
-  obs::BusyTimes busy(planned, obs::RegionDomain::kMttkrp);
-
-#if defined(AOADMM_HAVE_OPENMP)
-#pragma omp parallel
-#endif
-  {
-    const int tid = thread_id();
-    const auto team = static_cast<std::size_t>(std::max(team_size(), 1));
-    const double t0 = mttkrp_now();
-    for (std::size_t c = static_cast<std::size_t>(tid); c < parts;
-         c += team) {
-      for (std::size_t r = bounds[c]; r < bounds[c + 1]; ++r) {
-        real_t* __restrict krow =
-            out.data() + static_cast<std::size_t>(root_fids[r]) * f;
-        for (offset_t ch = fptr[r]; ch < fptr[r + 1]; ++ch) {
-          Ops::mul_add(krow, up1 + static_cast<std::size_t>(ch) * f,
-                       child_factor +
-                           static_cast<std::size_t>(child_fids[ch]) * f,
-                       f);
-        }
-      }
-    }
-    busy.add(tid, mttkrp_now() - t0);
-  }
-}
-
-/// Internal target at level t: contribution of node n is
-/// down[t-1][parent(n)] ∘ up[t][n], scattered into shared output rows via
-/// the privatized per-thread reduction (serial fast path below one thread).
-template <int R>
-void DimTreeEngine::combine_inner(std::size_t t, cspan<const Matrix> factors,
-                                  Matrix& out, int planned) {
-  using Ops = RowOps<R>;
-  const std::size_t f = rank_;
-  const std::size_t pl = t - 1;
-  const auto fptr = tree_->fptr(pl);
-  const auto fids = tree_->fids(t);
-  const auto root_fids = tree_->fids(0);
-  const real_t* __restrict root_factor =
-      factors[tree_->level_mode(0)].data();
-  const real_t* __restrict down_parent = pl >= 1 ? down_[pl].data() : nullptr;
-  const real_t* __restrict up = up_[t].data();
-
-  compose_bounds(pl, planned);
-  const std::size_t parts = bounds_buf_.size() - 1;
-  const std::size_t* __restrict bounds = bounds_buf_.data();
-  const std::size_t copy_elems = out.rows() * f;
-  const auto out_rows = static_cast<std::ptrdiff_t>(out.rows());
-
-  if (planned <= 1) {
-    obs::BusyTimes busy(1, obs::RegionDomain::kMttkrp);
-    real_t* const contrib = mttkrp_thread_scratch(f);
-    const double t0 = mttkrp_now();
-    for (std::size_t p = 0; p < static_cast<std::size_t>(tree_->num_nodes(pl));
-         ++p) {
-      const real_t* __restrict base =
-          pl == 0 ? root_factor + static_cast<std::size_t>(root_fids[p]) * f
-                  : down_parent + p * f;
-      for (offset_t ch = fptr[p]; ch < fptr[p + 1]; ++ch) {
-        Ops::mul(contrib, base, up + static_cast<std::size_t>(ch) * f, f);
-        Ops::add(out.data() + static_cast<std::size_t>(fids[ch]) * f, contrib,
-                 f);
-      }
-    }
-    busy.add(0, mttkrp_now() - t0);
+void DimTreeEngine::ensure_up(std::size_t level, cspan<const Matrix> factors,
+                              int planned) {
+  const auto& metrics = DimTreeMetrics::get();
+  if (up_valid_[level]) {
+    ++stats_.levels_reused;
+    metrics.reused.add(1);
     return;
   }
-
-  BufferTable table(planned);
-  real_t** const bufs = table.data();
-  obs::BusyTimes busy(planned, obs::RegionDomain::kMttkrp);
-
-#if defined(AOADMM_HAVE_OPENMP)
-#pragma omp parallel
-#endif
-  {
-    const int tid = thread_id();
-    const auto team = static_cast<std::size_t>(std::max(team_size(), 1));
-    real_t* const base_buf = mttkrp_thread_scratch(f + copy_elems);
-    real_t* const contrib = base_buf;
-    const double t0 = mttkrp_now();
-    if (tid < planned) {
-      real_t* const local = base_buf + f;
-      std::fill(local, local + copy_elems, real_t{0});
-      bufs[tid] = local;
-      for (std::size_t c = static_cast<std::size_t>(tid); c < parts;
-           c += team) {
-        for (std::size_t p = bounds[c]; p < bounds[c + 1]; ++p) {
-          const real_t* __restrict dbase =
-              pl == 0 ? root_factor +
-                            static_cast<std::size_t>(root_fids[p]) * f
-                      : down_parent + p * f;
-          for (offset_t ch = fptr[p]; ch < fptr[p + 1]; ++ch) {
-            Ops::mul(contrib, dbase, up + static_cast<std::size_t>(ch) * f,
-                     f);
-            Ops::add(local + static_cast<std::size_t>(fids[ch]) * f, contrib,
-                     f);
-          }
-        }
-      }
-    }
-    busy.add(tid, mttkrp_now() - t0);
-
-#if defined(AOADMM_HAVE_OPENMP)
-#pragma omp barrier
-#endif
-
-    const double t1 = mttkrp_now();
-#if defined(AOADMM_HAVE_OPENMP)
-#pragma omp for schedule(static) nowait
-#endif
-    for (std::ptrdiff_t row = 0; row < out_rows; ++row) {
-      real_t* __restrict dst = out.data() + static_cast<std::size_t>(row) * f;
-      for (int p = 0; p < planned; ++p) {
-        if (bufs[p] != nullptr) {
-          Ops::add(dst, bufs[p] + static_cast<std::size_t>(row) * f, f);
-        }
-      }
-    }
-    busy.add(tid, mttkrp_now() - t1);
+  const bool child_is_leaf = level + 2 == order_;
+  if (!child_is_leaf) {
+    ensure_up(level + 1, factors, planned);
   }
+  const DimTreePass pass{*tree_, factors, rank_, level,
+                         compose_bounds(level, planned), planned};
+  kernels_->dimtree_up(pass, child_is_leaf ? nullptr : up_[level + 1].data(),
+                       up_[level].data());
+  up_valid_[level] = 1;
+  ++stats_.levels_computed;
+  metrics.computed.add(1);
 }
 
-/// Leaf target: contribution of leaf n is val(n) · down[order-2][parent(n)].
-template <int R>
-void DimTreeEngine::combine_leaf(cspan<const Matrix> factors, Matrix& out,
-                                 int planned) {
-  using Ops = RowOps<R>;
-  (void)factors;
-  const std::size_t f = rank_;
-  const std::size_t pl = order_ - 2;
-  const auto fptr = tree_->fptr(pl);
-  const auto leaf_fids = tree_->fids(order_ - 1);
-  const auto vals = tree_->vals();
-  const real_t* __restrict down_parent = down_[pl].data();
-
-  compose_bounds(pl, planned);
-  const std::size_t parts = bounds_buf_.size() - 1;
-  const std::size_t* __restrict bounds = bounds_buf_.data();
-  const std::size_t copy_elems = out.rows() * f;
-  const auto out_rows = static_cast<std::ptrdiff_t>(out.rows());
-
-  if (planned <= 1) {
-    obs::BusyTimes busy(1, obs::RegionDomain::kMttkrp);
-    const double t0 = mttkrp_now();
-    for (std::size_t p = 0; p < static_cast<std::size_t>(tree_->num_nodes(pl));
-         ++p) {
-      const real_t* __restrict base = down_parent + p * f;
-      for (offset_t ch = fptr[p]; ch < fptr[p + 1]; ++ch) {
-        Ops::axpy(out.data() + static_cast<std::size_t>(leaf_fids[ch]) * f,
-                  vals[ch], base, f);
-      }
-    }
-    busy.add(0, mttkrp_now() - t0);
+void DimTreeEngine::ensure_down(std::size_t level,
+                                cspan<const Matrix> factors, int planned) {
+  const auto& metrics = DimTreeMetrics::get();
+  if (down_valid_[level]) {
+    ++stats_.levels_reused;
+    metrics.reused.add(1);
     return;
   }
-
-  BufferTable table(planned);
-  real_t** const bufs = table.data();
-  obs::BusyTimes busy(planned, obs::RegionDomain::kMttkrp);
-
-#if defined(AOADMM_HAVE_OPENMP)
-#pragma omp parallel
-#endif
-  {
-    const int tid = thread_id();
-    const auto team = static_cast<std::size_t>(std::max(team_size(), 1));
-    real_t* const base_buf = mttkrp_thread_scratch(copy_elems);
-    const double t0 = mttkrp_now();
-    if (tid < planned) {
-      real_t* const local = base_buf;
-      std::fill(local, local + copy_elems, real_t{0});
-      bufs[tid] = local;
-      for (std::size_t c = static_cast<std::size_t>(tid); c < parts;
-           c += team) {
-        for (std::size_t p = bounds[c]; p < bounds[c + 1]; ++p) {
-          const real_t* __restrict base = down_parent + p * f;
-          for (offset_t ch = fptr[p]; ch < fptr[p + 1]; ++ch) {
-            Ops::axpy(local + static_cast<std::size_t>(leaf_fids[ch]) * f,
-                      vals[ch], base, f);
-          }
-        }
-      }
-    }
-    busy.add(tid, mttkrp_now() - t0);
-
-#if defined(AOADMM_HAVE_OPENMP)
-#pragma omp barrier
-#endif
-
-    const double t1 = mttkrp_now();
-#if defined(AOADMM_HAVE_OPENMP)
-#pragma omp for schedule(static) nowait
-#endif
-    for (std::ptrdiff_t row = 0; row < out_rows; ++row) {
-      real_t* __restrict dst = out.data() + static_cast<std::size_t>(row) * f;
-      for (int p = 0; p < planned; ++p) {
-        if (bufs[p] != nullptr) {
-          Ops::add(dst, bufs[p] + static_cast<std::size_t>(row) * f, f);
-        }
-      }
-    }
-    busy.add(tid, mttkrp_now() - t1);
+  if (level >= 2) {
+    ensure_down(level - 1, factors, planned);
   }
+  const DimTreePass pass{*tree_, factors, rank_, level,
+                         compose_bounds(level - 1, planned), planned};
+  kernels_->dimtree_down(pass, level >= 2 ? down_[level - 1].data() : nullptr,
+                         down_[level].data());
+  down_valid_[level] = 1;
+  ++stats_.levels_computed;
+  metrics.computed.add(1);
 }
 
 void DimTreeEngine::mttkrp(const CsfTensor& csf, cspan<const Matrix> factors,
@@ -437,53 +157,28 @@ void DimTreeEngine::mttkrp(const CsfTensor& csf, cspan<const Matrix> factors,
   }
 
   const int planned = std::max(max_threads(), 1);
-  const auto& metrics = DimTreeMetrics::get();
-
-  rank_dispatch(f, [&](auto rc) {
-    constexpr int R = decltype(rc)::value;
-    const auto ensure_up = [&](auto&& self, std::size_t l) -> void {
-      if (up_valid_[l]) {
-        ++stats_.levels_reused;
-        metrics.reused.add(1);
-        return;
-      }
-      if (l + 2 < order_) {
-        self(self, l + 1);
-      }
-      refresh_up<R>(l, factors, planned);
-      up_valid_[l] = 1;
-      ++stats_.levels_computed;
-      metrics.computed.add(1);
-    };
-    const auto ensure_down = [&](auto&& self, std::size_t l) -> void {
-      if (down_valid_[l]) {
-        ++stats_.levels_reused;
-        metrics.reused.add(1);
-        return;
-      }
-      if (l >= 2) {
-        self(self, l - 1);
-      }
-      refresh_down<R>(l, factors, planned);
-      down_valid_[l] = 1;
-      ++stats_.levels_computed;
-      metrics.computed.add(1);
-    };
-
-    if (t == 0) {
-      ensure_up(ensure_up, 1);
-      combine_root<R>(factors, out, planned);
-    } else if (t == order_ - 1) {
-      ensure_down(ensure_down, order_ - 2);
-      combine_leaf<R>(factors, out, planned);
-    } else {
-      if (t >= 2) {
-        ensure_down(ensure_down, t - 1);
-      }
-      ensure_up(ensure_up, t);
-      combine_inner<R>(t, factors, out, planned);
+  if (t == 0) {
+    ensure_up(1, factors, planned);
+    const DimTreePass pass{csf, factors, f, t,
+                           csf.root_partition(
+                               static_cast<std::size_t>(planned)),
+                           planned};
+    kernels_->dimtree_root(pass, up_[1].data(), out);
+  } else if (t == order_ - 1) {
+    ensure_down(order_ - 2, factors, planned);
+    const DimTreePass pass{csf, factors, f, t,
+                           compose_bounds(order_ - 2, planned), planned};
+    kernels_->dimtree_leaf(pass, down_[order_ - 2].data(), out);
+  } else {
+    if (t >= 2) {
+      ensure_down(t - 1, factors, planned);
     }
-  });
+    ensure_up(t, factors, planned);
+    const DimTreePass pass{csf, factors, f, t,
+                           compose_bounds(t - 1, planned), planned};
+    kernels_->dimtree_inner(pass, t >= 2 ? down_[t - 1].data() : nullptr,
+                            up_[t].data(), out);
+  }
 }
 
 }  // namespace aoadmm::detail
@@ -513,11 +208,13 @@ MttkrpKernel resolve_auto_kernel(MttkrpKernel requested, CsfStrategy strategy,
     // bench_mttkrp_kernels: wins up to rank 32, parity-to-loss at 64).
     if (rank == 0 || rank < kDimTreeMaxRank) {
       AOADMM_LOG_DEBUG << "mttkrp kAuto -> kDimTree (order=" << order
-                       << " rank=" << rank << ")";
+                       << " rank=" << rank
+                       << " isa=" << mttkrp_isa_flavor() << ")";
       return MttkrpKernel::kDimTree;
     }
     AOADMM_LOG_DEBUG << "mttkrp kAuto -> kOneTree (order=" << order
-                     << " rank=" << rank << " >= " << kDimTreeMaxRank << ")";
+                     << " rank=" << rank << " >= " << kDimTreeMaxRank
+                     << " isa=" << mttkrp_isa_flavor() << ")";
     return MttkrpKernel::kOneTree;
   }
   // Order 3: the one-tree walk is already two-level. Prefer ALTO only for
@@ -535,11 +232,13 @@ MttkrpKernel resolve_auto_kernel(MttkrpKernel requested, CsfStrategy strategy,
       dmin > 0 ? static_cast<double>(dmax) / static_cast<double>(dmin) : 1.0;
   if (skew > 4.0 && density < 1e-4 && alto_linearizable(dims)) {
     AOADMM_LOG_DEBUG << "mttkrp kAuto -> kAlto (skew=" << skew
-                     << " density=" << density << ")";
+                     << " density=" << density
+                     << " isa=" << mttkrp_isa_flavor() << ")";
     return MttkrpKernel::kAlto;
   }
   AOADMM_LOG_DEBUG << "mttkrp kAuto -> kOneTree (skew=" << skew
-                   << " density=" << density << ")";
+                   << " density=" << density
+                   << " isa=" << mttkrp_isa_flavor() << ")";
   return MttkrpKernel::kOneTree;
 }
 

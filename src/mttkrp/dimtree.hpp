@@ -20,7 +20,10 @@
 // full cyclic sweep touches the non-zeros ~2x instead of order() x.
 //
 // All cache arrays and partition scratch are grow-only members: after the
-// first sweep, steady-state calls allocate nothing (PR 2's invariant).
+// first sweep, steady-state calls allocate nothing. The engine keeps the
+// cache bookkeeping in baseline code; the passes that touch the non-zeros
+// (mttkrp/dimtree_kernels.inl) run from an ISA flavor table
+// (mttkrp/isa.hpp).
 #pragma once
 
 #include <cstddef>
@@ -28,6 +31,7 @@
 #include <vector>
 
 #include "la/matrix.hpp"
+#include "mttkrp/isa.hpp"
 #include "mttkrp/mttkrp.hpp"
 #include "tensor/csf.hpp"
 #include "util/aligned.hpp"
@@ -45,7 +49,11 @@ struct DimTreeStats {
 
 class DimTreeEngine {
  public:
-  DimTreeEngine() = default;
+  /// Runs its passes from `kernels`: the active flavor unless a test pins
+  /// another one.
+  explicit DimTreeEngine(
+      const MttkrpKernels& kernels = active_mttkrp_kernels()) noexcept
+      : kernels_(&kernels) {}
 
   /// MTTKRP for original mode `target_mode` over `csf` (which must be a
   /// single tree of order >= 3 containing every mode — i.e. the tree of a
@@ -70,22 +78,15 @@ class DimTreeEngine {
   void bind(const CsfTensor& csf, std::size_t rank);
   /// Chunk boundaries of the planned root partition composed down to
   /// `level` (written into bounds_buf_).
-  void compose_bounds(std::size_t level, int planned);
+  cspan<std::size_t> compose_bounds(std::size_t level, int planned);
+  /// Recompute up[l] / down[l] (and the stale levels they read), or count
+  /// a reuse.
+  void ensure_up(std::size_t level, cspan<const Matrix> factors,
+                 int planned);
+  void ensure_down(std::size_t level, cspan<const Matrix> factors,
+                   int planned);
 
-  template <int R>
-  void refresh_up(std::size_t level, cspan<const Matrix> factors,
-                  int planned);
-  template <int R>
-  void refresh_down(std::size_t level, cspan<const Matrix> factors,
-                    int planned);
-  template <int R>
-  void combine_root(cspan<const Matrix> factors, Matrix& out, int planned);
-  template <int R>
-  void combine_inner(std::size_t t, cspan<const Matrix> factors, Matrix& out,
-                     int planned);
-  template <int R>
-  void combine_leaf(cspan<const Matrix> factors, Matrix& out, int planned);
-
+  const MttkrpKernels* kernels_;
   const CsfTensor* tree_ = nullptr;
   std::size_t rank_ = 0;
   std::size_t order_ = 0;

@@ -3,11 +3,12 @@
 // The innermost loops of all four kernels are rank-length elementwise ops
 // (Hadamard down-products, value-scaled axpy, contribution scatter). With a
 // runtime trip count the compiler emits a scalar prologue/epilogue and a
-// length check per row; with a compile-time R it emits straight-line
-// FMA/SIMD code. rank_dispatch() selects a specialization for the common
-// power-of-two ranks (8/16/32/64) and falls back to a runtime-length
-// generic (R = 0) for everything else — the tail ranks {1, 7, 33, ...} take
-// the same code path they always did, just through RowOps<0>.
+// length check per row; with a compile-time R it emits straight-line SIMD
+// code, as wide as the kernel flavor that inlines it (mttkrp/isa.hpp).
+// rank_dispatch() selects a specialization for the common power-of-two
+// ranks (8/16/32/64) and falls back to a runtime-length generic (R = 0)
+// for everything else — the tail ranks {1, 7, 33, ...} take the same code
+// path they always did, just through RowOps<0>.
 #pragma once
 
 #include <cstddef>

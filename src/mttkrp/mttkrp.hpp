@@ -12,7 +12,9 @@
 // root slices (race-free); `factors` is indexed by ORIGINAL mode id and all
 // matrices must share the same rank F. The scatter kernels (non-root, ALTO,
 // dimension tree) take an MttkrpSchedule policy controlling how the
-// reduction maps to threads (see below and docs/performance.md).
+// reduction maps to threads (see below and docs/performance.md). Every
+// kernel but the COO oracle runs the widest x86-64 flavor the CPU reports
+// (mttkrp/isa.hpp, mttkrp_isa_flavor()); all flavors return the same bits.
 #pragma once
 
 #include "la/matrix.hpp"
@@ -174,5 +176,11 @@ void mttkrp_dispatch(const CsfTensor& csf, cspan<const Matrix> factors,
 /// Serial reference implementation straight from the definition.
 void mttkrp_coo(const CooTensor& coo, cspan<const Matrix> factors,
                 std::size_t mode, Matrix& out);
+
+/// The kernel flavor every MTTKRP above runs ("baseline" for the
+/// library's own target flags, "x86-64-v3" or "x86-64-v4"): the widest the
+/// CPU reports, chosen once per process. Every flavor returns the same bits; only the
+/// vector width differs (mttkrp/isa.hpp).
+const char* mttkrp_isa_flavor() noexcept;
 
 }  // namespace aoadmm

@@ -1,12 +1,10 @@
-#include <vector>
-
-#include "mttkrp/microkernels.hpp"
+// Root-mode CSF MTTKRP entry points (dense, CSR and hybrid leaf). The
+// skeleton they share lives in mttkrp/csf_kernels.inl, compiled once per
+// ISA flavor (mttkrp/isa.hpp); these entries check arguments, size the
+// output and call the active flavor.
+#include "mttkrp/isa.hpp"
 #include "mttkrp/mttkrp.hpp"
-#include "mttkrp/mttkrp_impl.hpp"
 #include "mttkrp/mttkrp_obs.hpp"
-#include "mttkrp/thread_scratch.hpp"
-#include "parallel/runtime.hpp"
-#include "util/aligned.hpp"
 #include "util/error.hpp"
 
 namespace aoadmm {
@@ -74,25 +72,37 @@ MttkrpSchedule resolve_nonroot_schedule(MttkrpSchedule s, index_t out_rows,
 
 }  // namespace detail
 
+namespace {
+
+/// Checks shared by the root kernels; sizes and zeroes `out` to
+/// (level_dim(0) x f). The leaf factor may come from outside `factors`
+/// (CSR / hybrid mirror), so its dense copy is not checked.
+void prepare_root(const CsfTensor& csf, cspan<const Matrix> factors,
+                  std::size_t f, Matrix& out) {
+  const std::size_t order = csf.order();
+  AOADMM_CHECK(order >= 2);
+  AOADMM_CHECK(factors.size() == order);
+  for (std::size_t l = 1; l + 1 < order; ++l) {
+    AOADMM_CHECK(factors[csf.level_mode(l)].cols() == f);
+  }
+  const index_t out_rows = csf.level_dim(0);
+  if (out.rows() != out_rows || out.cols() != f) {
+    out.resize(out_rows, f);  // resize zero-initializes
+  } else {
+    out.zero();
+  }
+}
+
+}  // namespace
+
 void mttkrp_csf(const CsfTensor& csf, cspan<const Matrix> factors,
                 Matrix& out) {
   AOADMM_CHECK(factors.size() == csf.order());
-  const Matrix& leaf = factors[csf.level_mode(csf.order() - 1)];
-  const std::size_t f = leaf.cols();
+  const std::size_t f = factors[csf.level_mode(csf.order() - 1)].cols();
 
   const auto run = [&] {
-    detail::rank_dispatch(f, [&](auto rc) {
-      constexpr int R = decltype(rc)::value;
-      detail::mttkrp_csf_skeleton<R>(
-          csf, factors, f,
-          [&leaf](index_t idx, real_t v, real_t* __restrict z,
-                  std::size_t ff) {
-            const real_t* __restrict row =
-                leaf.data() + static_cast<std::size_t>(idx) * ff;
-            detail::RowOps<R>::axpy(z, v, row, ff);
-          },
-          out);
-    });
+    prepare_root(csf, factors, f, out);
+    detail::active_mttkrp_kernels().csf_dense(csf, factors, out);
   };
 
   if (csf.order() == 3) {
@@ -104,6 +114,42 @@ void mttkrp_csf(const CsfTensor& csf, cspan<const Matrix> factors,
     AOADMM_MTTKRP_OBS("csf_dense");
     run();
   }
+}
+
+void mttkrp_csf_csr(const CsfTensor& csf, cspan<const Matrix> factors,
+                    const CsrMatrix& leaf, Matrix& out) {
+  AOADMM_MTTKRP_OBS("csf_csr");
+  AOADMM_CHECK(factors.size() == csf.order());
+  const std::size_t leaf_mode = csf.level_mode(csf.order() - 1);
+  AOADMM_CHECK_MSG(leaf.rows() == csf.level_dim(csf.order() - 1),
+                   "CSR leaf factor row count mismatch");
+  const std::size_t f = leaf.cols();
+  // The other factors must agree on rank; the dense copy of the leaf factor
+  // in `factors` is ignored (it may be stale).
+  for (std::size_t m = 0; m < factors.size(); ++m) {
+    if (m != leaf_mode) {
+      AOADMM_CHECK(factors[m].cols() == f);
+    }
+  }
+  prepare_root(csf, factors, f, out);
+  detail::active_mttkrp_kernels().csf_csr(csf, factors, leaf, out);
+}
+
+void mttkrp_csf_hybrid(const CsfTensor& csf, cspan<const Matrix> factors,
+                       const HybridMatrix& leaf, Matrix& out) {
+  AOADMM_MTTKRP_OBS("csf_hybrid");
+  AOADMM_CHECK(factors.size() == csf.order());
+  const std::size_t leaf_mode = csf.level_mode(csf.order() - 1);
+  AOADMM_CHECK_MSG(leaf.rows() == csf.level_dim(csf.order() - 1),
+                   "hybrid leaf factor row count mismatch");
+  const std::size_t f = leaf.cols();
+  for (std::size_t m = 0; m < factors.size(); ++m) {
+    if (m != leaf_mode) {
+      AOADMM_CHECK(factors[m].cols() == f);
+    }
+  }
+  prepare_root(csf, factors, f, out);
+  detail::active_mttkrp_kernels().csf_hybrid(csf, factors, leaf, out);
 }
 
 }  // namespace aoadmm

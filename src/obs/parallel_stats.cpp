@@ -134,7 +134,7 @@ BusyTimes::BusyTimes(int nthreads, RegionDomain domain)
 }
 
 BusyTimes::~BusyTimes() {
-  double stack[kInlineThreads];
+  double stack[kInlineThreads] = {};
   double* busy = stack;
   if (nthreads_ > kInlineThreads) {
     busy = new double[static_cast<std::size_t>(nthreads_)];

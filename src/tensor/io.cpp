@@ -177,7 +177,10 @@ ParsedTns<I> parse_tns(std::istream& in, DuplicatePolicy policy) {
     if (policy == DuplicatePolicy::kError) {
       std::string coord_str;
       for (std::size_t m = 0; m < order; ++m) {
-        coord_str += (m ? " " : "") + std::to_string(coords[m][cur] + 1);
+        if (m > 0) {
+          coord_str += ' ';
+        }
+        coord_str += std::to_string(coords[m][cur] + 1);
       }
       // `prev` may itself be a duplicate of an earlier keeper; walk back to
       // the group head so the message names the first occurrence.

@@ -502,6 +502,38 @@ TEST(LossSolve, RowSystemThatIsNotPositiveDefiniteThrowsNumericalError) {
                NumericalError);
 }
 
+TEST(LossSolve, RowSystemThatIsNotPositiveDefiniteTakesARidgeWhenRobust) {
+  // The same rank-one row systems as above: with the guard rails on, the
+  // row factorization escalates a diagonal ridge instead of throwing, and
+  // reports it through the result the solver journals.
+  CooTensor x({3, 3, 3});
+  for (index_t i = 0; i < 3; ++i) {
+    const index_t c[3] = {i, i, static_cast<index_t>((i + 1) % 3)};
+    x.add({c, 3}, 1.0 + i);
+  }
+  const CsfSet csf(x);
+  std::vector<Matrix> factors(3, Matrix(3, 3));
+  for (Matrix& a : factors) {
+    for (real_t& v : a.flat()) {
+      v = 1e12;
+    }
+  }
+  Matrix u_h(3, 3);
+  LossWorkspace ws;
+  ws.reset(csf);
+  const auto loss = make_loss({LossKind::kKL});
+  const auto prox = make_prox({ConstraintKind::kNonNegative});
+  AdmmOptions opts;
+  opts.robustness.enabled = true;
+  const LossUpdateResult r = loss_mode_update(
+      csf.for_mode(0), factors, u_h, 0, *loss, *prox, opts, {}, ws.modes[0]);
+  EXPECT_GT(r.cholesky_attempts, 0u);
+  EXPECT_GT(r.cholesky_jitter, 0.0);
+  for (const real_t v : factors[0].flat()) {
+    EXPECT_TRUE(std::isfinite(v)) << v;
+  }
+}
+
 TEST(LossDeterminism, RepeatedSolvesAreBitwiseIdentical) {
   // The objective and fit are sums over threads. A fixed root partition and
   // a thread-ordered merge make repeated solves agree to the last bit at any

@@ -27,9 +27,9 @@ TEST(Robustness, ReportCountsByKind) {
   RecoveryReport r;
   EXPECT_TRUE(r.empty());
   EXPECT_EQ(r.summary(), "none");
-  r.add({RecoveryKind::kCholeskyJitter, 1, 0, 2, 1e-6, ""});
-  r.add({RecoveryKind::kCholeskyJitter, 2, 1, 1, 1e-8, ""});
-  r.add({RecoveryKind::kAdmmRestart, 3, 2, 1, 42.0, ""});
+  r.add({RecoveryKind::kCholeskyJitter, 1, 0, 2, 1e-6, "", {}});
+  r.add({RecoveryKind::kCholeskyJitter, 2, 1, 1, 1e-8, "", {}});
+  r.add({RecoveryKind::kAdmmRestart, 3, 2, 1, 42.0, "", {}});
   EXPECT_FALSE(r.empty());
   EXPECT_EQ(r.size(), 3u);
   EXPECT_EQ(r.count(RecoveryKind::kCholeskyJitter), 2u);
@@ -39,8 +39,8 @@ TEST(Robustness, ReportCountsByKind) {
 
 TEST(Robustness, ReportToStringHasOneLinePerEvent) {
   RecoveryReport r;
-  r.add({RecoveryKind::kMttkrpRetry, 4, 1, 1, 0, ""});
-  r.add({RecoveryKind::kCheckpointWriteFailure, 6, 0, 0, 0, "short write"});
+  r.add({RecoveryKind::kMttkrpRetry, 4, 1, 1, 0, "", {}});
+  r.add({RecoveryKind::kCheckpointWriteFailure, 6, 0, 0, 0, "short write", {}});
   const std::string s = r.to_string();
   std::size_t lines = 0;
   for (const char c : s) {
@@ -53,9 +53,9 @@ TEST(Robustness, ReportToStringHasOneLinePerEvent) {
 
 TEST(Robustness, ReportSummaryIsCompact) {
   RecoveryReport r;
-  r.add({RecoveryKind::kAdmmRestart, 1, 0, 1, 0, ""});
-  r.add({RecoveryKind::kAdmmRestart, 2, 0, 1, 0, ""});
-  r.add({RecoveryKind::kFactorRollback, 2, 1, 0, 0, ""});
+  r.add({RecoveryKind::kAdmmRestart, 1, 0, 1, 0, "", {}});
+  r.add({RecoveryKind::kAdmmRestart, 2, 0, 1, 0, "", {}});
+  r.add({RecoveryKind::kFactorRollback, 2, 1, 0, 0, "", {}});
   const std::string s = r.summary();
   EXPECT_NE(s.find("3 recoveries"), std::string::npos);
   EXPECT_NE(s.find("admm_restart 2"), std::string::npos);
