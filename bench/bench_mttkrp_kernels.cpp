@@ -1,15 +1,8 @@
 // Head-to-head MTTKRP kernel families on google-benchmark: the plain
-// one-tree walk (kOneTree), the dimension-tree engine with cached partial
-// contractions (kDimTree), and the bit-interleaved linearized kernel
-// (kAlto), all over the same power-law (Zipf alpha=1.3) tensors at orders
-// 3-5 and ranks {8, 16, 32, 64}.
-//
-// Each benchmark iteration is one full CYCLIC SWEEP — an MTTKRP per mode,
-// with the per-mode cache invalidation the CPD driver performs after a
-// factor update — so the dimension-tree numbers include the recompute cost
-// its reuse has to pay for, not just warm-cache reads. CI gates the
-// headline claim on this suite: dimension tree >= 1.2x over one-tree at
-// order 4, rank 32 (see .github/workflows/ci.yml bench-regression).
+// one-tree walk (kOneTree) and the bit-interleaved linearized kernel
+// (kAlto), both over the same power-law (Zipf alpha=1.3) tensors at orders
+// 3-5 and ranks {8, 16, 32, 64}. Each benchmark iteration is one full
+// cyclic sweep: an MTTKRP per mode, as the CPD driver runs them.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -18,7 +11,6 @@
 #include "common.hpp"
 
 #include "mttkrp/alto.hpp"
-#include "mttkrp/dimtree.hpp"
 #include "mttkrp/mttkrp.hpp"
 #include "tensor/alto.hpp"
 #include "tensor/synthetic.hpp"
@@ -28,7 +20,7 @@ namespace aoadmm {
 namespace {
 
 // One Zipf tensor + ONEMODE compilation per order, cached per process; the
-// three kernel families time the identical sweep over the identical tree.
+// two kernel families time the identical sweep over the identical tree.
 struct KernelSetup {
   CooTensor coo;
   CsfSet csf;
@@ -83,33 +75,6 @@ void BM_MttkrpSweepOneTree(benchmark::State& state) {
   set_sweep_counters(state, s);
 }
 
-void BM_MttkrpSweepDimTree(benchmark::State& state) {
-  const auto order = static_cast<std::size_t>(state.range(0));
-  const auto rank = static_cast<rank_t>(state.range(1));
-  const KernelSetup& s = KernelSetup::instance(order);
-  const auto& factors = s.factors.at(rank);
-  detail::DimTreeEngine engine;
-  Matrix out;
-  // Warm sweep: binds the engine to (tree, rank) and pre-sizes the
-  // per-level scratch so the timed region measures the steady state the
-  // solver runs in (zero-alloc, caches populated).
-  for (std::size_t m = 0; m < order; ++m) {
-    engine.mttkrp(s.tree(), factors, m, out);
-    engine.invalidate_mode(m);
-  }
-  for (auto _ : state) {
-    for (std::size_t m = 0; m < order; ++m) {
-      mttkrp_dispatch(s.tree(), factors, m, out,
-                      MttkrpKernel::kDimTree, &engine);
-      // The solver updates factor m right after its MTTKRP; charge the
-      // resulting cache invalidation to the sweep.
-      engine.invalidate_mode(m);
-      benchmark::DoNotOptimize(out.data());
-    }
-  }
-  set_sweep_counters(state, s);
-}
-
 void BM_MttkrpSweepAlto(benchmark::State& state) {
   const auto order = static_cast<std::size_t>(state.range(0));
   const auto rank = static_cast<rank_t>(state.range(1));
@@ -138,7 +103,6 @@ void sweep_args(benchmark::internal::Benchmark* b) {
 }
 
 BENCHMARK(BM_MttkrpSweepOneTree)->Apply(sweep_args);
-BENCHMARK(BM_MttkrpSweepDimTree)->Apply(sweep_args);
 BENCHMARK(BM_MttkrpSweepAlto)->Apply(sweep_args);
 
 }  // namespace

@@ -25,7 +25,7 @@
 //             [--couple y.mat] [--couple-mode 0] [--couple-weight 1.0]
 //             [--couple-constraint none]
 //             [--variant blocked|base] [--format dense|csr|csr-h]
-//             [--mttkrp-kernel auto|allmode|onetree|dimtree|alto]
+//             [--mttkrp-kernel auto|allmode|onetree|alto]
 //             [--max-outer 50] [--tol 1e-5] [--block 50] [--trace out.csv]
 //             [--threads N] [--save-factors prefix]
 //             [--objective ls|observed]
@@ -63,14 +63,15 @@
 //
 // MTTKRP (cpd): --mttkrp-kernel picks the driver (auto follows the CSF
 // compilation; onetree compiles a single tree and serves the other modes
-// through the scatter kernels, 1/order the memory; dimtree caches partial
-// contractions across the mode sweep on one tree; alto runs the
-// bit-interleaved linearized kernel). The scatter kernels pick privatized
-// or owner-computes reduction per mode from the mode length, the rank and
-// the thread count.
+// through the scatter kernels, 1/order the memory; alto runs the
+// bit-interleaved linearized kernel over that tree). The scatter kernels
+// pick privatized or owner-computes reduction per mode from the mode
+// length, the rank and the thread count.
 //
 // Errors: a bad flag value or combination prints `error: <message>` and
-// exits 1; a flag the command never reads draws one stderr warning each.
+// exits 1 (an integer flag or --dims/--shards extent outside its range
+// names the range); a flag the command never reads draws one stderr
+// warning each.
 //
 // Sharding (cpd): --shards=AxBxC splits the tensor into a medium-grained
 // N-D grid of CSF tiles (one extent per mode) solved by per-shard workers
@@ -137,14 +138,17 @@
 // metric registry; --chrome-trace writes a chrome://tracing / Perfetto
 // trace (spans require a build with -DAOADMM_ENABLE_PROFILING=ON).
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/config.hpp"
@@ -178,6 +182,37 @@ void require(bool ok, const std::string& message) {
   }
 }
 
+/// A whole-token decimal integer in [lo, hi]. A sign on an unsigned type,
+/// trailing text and a value past the type are user errors too, so nothing
+/// wraps or truncates on its way into a narrower field.
+template <typename T>
+T parse_int(const std::string& token, const std::string& what, T lo,
+            T hi = std::numeric_limits<T>::max()) {
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  require(ec == std::errc() && ptr == end && value >= lo && value <= hi,
+          what + " must be an integer in [" + std::to_string(lo) + ", " +
+              std::to_string(hi) + "], got '" + token + "'");
+  return value;
+}
+
+/// --name through parse_int, or `fallback` when the flag has no value.
+template <typename T>
+T int_flag(const Options& opts, const std::string& name, T fallback, T lo,
+           T hi = std::numeric_limits<T>::max()) {
+  const auto v = opts.get(name);
+  return v ? parse_int<T>(*v, "--" + name, lo, hi) : fallback;
+}
+
+/// --threads: 0 keeps the OpenMP default.
+void apply_threads_flag(const Options& opts) {
+  const int threads = int_flag<int>(opts, "threads", 0, 0, 1024);
+  if (threads > 0) {
+    set_num_threads(threads);
+  }
+}
+
 bool has_suffix(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
@@ -207,7 +242,7 @@ std::vector<index_t> parse_dims(const std::string& s) {
     const std::size_t x = s.find('x', pos);
     const std::string tok = s.substr(pos, x - pos);
     require(!tok.empty(), "bad --dims: " + s);
-    dims.push_back(static_cast<index_t>(std::stoul(tok)));
+    dims.push_back(parse_int<index_t>(tok, "each --dims extent", 1));
     if (x == std::string::npos) {
       break;
     }
@@ -227,7 +262,8 @@ std::vector<std::size_t> parse_grid(const std::string& s) {
     const std::size_t x = s.find('x', pos);
     const std::string tok = s.substr(pos, x - pos);
     require(!tok.empty(), "bad --shards: " + s);
-    grid.push_back(static_cast<std::size_t>(std::stoul(tok)));
+    grid.push_back(parse_int<std::size_t>(tok, "each --shards extent", 0,
+                                          std::numeric_limits<index_t>::max()));
     if (x == std::string::npos) {
       break;
     }
@@ -239,12 +275,20 @@ std::vector<std::size_t> parse_grid(const std::string& s) {
 
 int cmd_generate(const Options& opts) {
   SyntheticSpec spec;
-  spec.dims = parse_dims(opts.get_string("dims", "100x80x60"));
-  spec.nnz = static_cast<offset_t>(opts.get_int("nnz", 5000));
+  const std::string dims = opts.get_string("dims", "100x80x60");
+  spec.dims = parse_dims(dims);
+  spec.nnz = int_flag<offset_t>(opts, "nnz", 5000, 1);
+  double cells = 1;
+  for (const index_t d : spec.dims) {
+    cells *= static_cast<double>(d);
+  }
+  require(static_cast<double>(spec.nnz) <= cells,
+          "--nnz " + std::to_string(spec.nnz) +
+              " exceeds the cells of --dims " + dims);
   spec.zipf_alpha = {static_cast<real_t>(opts.get_double("alpha", 1.0))};
-  spec.true_rank = static_cast<rank_t>(opts.get_int("rank", 4));
+  spec.true_rank = int_flag<rank_t>(opts, "rank", 4, 0);
   spec.noise = static_cast<real_t>(opts.get_double("noise", 0.1));
-  spec.seed = static_cast<std::uint64_t>(opts.get_int("seed", 42));
+  spec.seed = int_flag<std::uint64_t>(opts, "seed", 42, 0);
   const std::string out = opts.get_string("out", "generated.tns");
   const CooTensor x = make_synthetic(spec);
   save_any(x, out);
@@ -338,10 +382,7 @@ std::string cli_flag_for(const std::string& field) {
 int cmd_cpd(const Options& opts) {
   require(opts.positional().size() >= 2,
           "usage: tensor_tool cpd <file> [options]");
-  const int threads = static_cast<int>(opts.get_int("threads", 0));
-  if (threads > 0) {
-    set_num_threads(threads);
-  }
+  apply_threads_flag(opts);
   const CooTensor x = load_any(opts.positional()[1], opts.has("wide-indices"));
 
   // --shards/--spill-dir/--max-resident-mb route the solve through the
@@ -353,8 +394,9 @@ int cmd_cpd(const Options& opts) {
   }
   shard_opts.spill_dir = opts.get_string("spill-dir", "");
   shard_opts.max_resident_bytes =
-      static_cast<std::size_t>(opts.get_int("max-resident-mb", 0)) *
-      (std::size_t{1} << 20);
+      int_flag<std::size_t>(opts, "max-resident-mb", 0, 0,
+                            std::numeric_limits<std::size_t>::max() >> 20)
+      << 20;
   const bool sharded = shard_opts.enabled();
 
   const std::string kernel_str = opts.get_string("mttkrp-kernel", "auto");
@@ -363,22 +405,19 @@ int cmd_cpd(const Options& opts) {
     kernel = MttkrpKernel::kAllMode;
   } else if (kernel_str == "onetree") {
     kernel = MttkrpKernel::kOneTree;
-  } else if (kernel_str == "dimtree") {
-    kernel = MttkrpKernel::kDimTree;
   } else if (kernel_str == "alto") {
     kernel = MttkrpKernel::kAlto;
   } else {
     require(kernel_str == "auto",
-            "--mttkrp-kernel must be auto|allmode|onetree|dimtree|alto");
+            "--mttkrp-kernel must be auto|allmode|onetree|alto");
   }
 
-  // The single-tree kernels (onetree, and the cached dimtree/alto engines
-  // built on top of it) need the one-mode compilation.
-  const CsfStrategy strategy = (kernel == MttkrpKernel::kOneTree ||
-                                kernel == MttkrpKernel::kDimTree ||
-                                kernel == MttkrpKernel::kAlto)
-                                   ? CsfStrategy::kOneMode
-                                   : CsfStrategy::kAllMode;
+  // The single-tree kernels (onetree, and alto built on top of it) need
+  // the one-mode compilation.
+  const CsfStrategy strategy =
+      (kernel == MttkrpKernel::kOneTree || kernel == MttkrpKernel::kAlto)
+          ? CsfStrategy::kOneMode
+          : CsfStrategy::kAllMode;
 
   std::optional<CsfSet> csf;
   if (sharded) {
@@ -395,12 +434,11 @@ int cmd_cpd(const Options& opts) {
 
   CpdConfig config;
   config.with_mttkrp_kernel(kernel)
-      .with_rank(static_cast<rank_t>(opts.get_int("rank", 16)))
-      .with_max_outer(static_cast<unsigned>(opts.get_int("max-outer", 50)))
+      .with_rank(int_flag<rank_t>(opts, "rank", 16, 1))
+      .with_max_outer(int_flag<unsigned>(opts, "max-outer", 50, 0))
       .with_tolerance(static_cast<real_t>(opts.get_double("tol", 1e-5)))
-      .with_seed(static_cast<std::uint64_t>(opts.get_int("seed", 123)));
-  config.admm.block_size =
-      static_cast<std::size_t>(opts.get_int("block", 50));
+      .with_seed(int_flag<std::uint64_t>(opts, "seed", 123, 0));
+  config.admm.block_size = int_flag<std::size_t>(opts, "block", 50, 0);
 
   const std::string variant = opts.get_string("variant", "blocked");
   require(variant == "blocked" || variant == "base",
@@ -413,10 +451,8 @@ int cmd_cpd(const Options& opts) {
     config.leaf_format = LeafFormat::kCsr;
   } else if (fmt == "csr-h") {
     config.leaf_format = LeafFormat::kHybrid;
-  } else if (fmt == "auto") {
-    config.leaf_format = LeafFormat::kAuto;
   } else {
-    require(fmt == "dense", "--format must be dense|csr|csr-h|auto");
+    require(fmt == "dense", "--format must be dense|csr|csr-h");
   }
 
   const ConstraintSpec constraint = parse_cli_constraint(opts);
@@ -444,7 +480,7 @@ int cmd_cpd(const Options& opts) {
   if (opts.has("robust") || opts.has("max-recoveries")) {
     config.admm.robustness.enabled = true;
     config.admm.robustness.max_recoveries =
-        static_cast<unsigned>(opts.get_int("max-recoveries", 3));
+        int_flag<unsigned>(opts, "max-recoveries", 3, 0);
   }
 
   const bool progress = opts.has("progress");
@@ -520,7 +556,7 @@ int cmd_cpd(const Options& opts) {
   }
   if (const auto ck_path = opts.get("checkpoint")) {
     config.with_checkpoint(
-        *ck_path, static_cast<unsigned>(opts.get_int("checkpoint-every", 10)));
+        *ck_path, int_flag<unsigned>(opts, "checkpoint-every", 10, 0));
   }
 
   // Surface configuration problems as CLI diagnostics, each naming the flag
@@ -556,7 +592,7 @@ int cmd_cpd(const Options& opts) {
     require(!sharded, "--couple does not support --shards/--spill-dir");
     CoupledMatrix cm;
     cm.y = read_matrix_file(*couple_path);
-    cm.mode = static_cast<std::size_t>(opts.get_int("couple-mode", 0));
+    cm.mode = int_flag<std::size_t>(opts, "couple-mode", 0, 0, x.order() - 1);
     cm.weight = static_cast<real_t>(opts.get_double("couple-weight", 1.0));
     cm.w_constraint =
         parse_constraint_spec(opts.get_string("couple-constraint", "none"));
@@ -657,27 +693,21 @@ int cmd_cpd(const Options& opts) {
 }
 
 int cmd_stream_replay(const Options& opts, const std::string& input) {
-  const int threads = static_cast<int>(opts.get_int("threads", 0));
-  if (threads > 0) {
-    set_num_threads(threads);
-  }
+  apply_threads_flag(opts);
   const CooTensor events = load_any(input);
 
   ReplayConfig cfg;
-  cfg.batches = static_cast<std::size_t>(opts.get_int("batches", 8));
-  cfg.stream.time_mode = static_cast<std::size_t>(opts.get_int(
-      "time-mode", static_cast<long long>(events.order() - 1)));
-  cfg.stream.window = static_cast<index_t>(opts.get_int("window", 0));
+  cfg.batches = int_flag<std::size_t>(opts, "batches", 8, 0);
+  cfg.stream.time_mode = int_flag<std::size_t>(
+      opts, "time-mode", events.order() - 1, 0, events.order() - 1);
+  cfg.stream.window = int_flag<index_t>(opts, "window", 0, 0);
   cfg.stream.churn_threshold = opts.get_double("churn", 0.25);
-  cfg.queries_per_refresh =
-      static_cast<std::size_t>(opts.get_int("queries", 100));
-  cfg.query_seed = static_cast<std::uint64_t>(opts.get_int("seed", 123));
+  cfg.queries_per_refresh = int_flag<std::size_t>(opts, "queries", 100, 0);
+  cfg.query_seed = int_flag<std::uint64_t>(opts, "seed", 123, 0);
 
   // Telemetry plane: live endpoint, file mode, event journal.
   if (opts.has("telemetry-port")) {
-    cfg.telemetry.port = static_cast<int>(opts.get_int("telemetry-port", 0));
-    require(cfg.telemetry.port >= 0 && cfg.telemetry.port <= 65535,
-            "--telemetry-port must be in [0, 65535]");
+    cfg.telemetry.port = int_flag<int>(opts, "telemetry-port", 0, 0, 65535);
     // Announce the bound port on stdout so a scraper driving this process
     // (CI) can discover an ephemeral binding.
     cfg.telemetry.on_ready = [](std::uint16_t port) {
@@ -702,22 +732,18 @@ int cmd_stream_replay(const Options& opts, const std::string& input) {
     cfg.fault.wal.fsync = WalFsync::kEveryBatch;
   } else {
     cfg.fault.wal.fsync = WalFsync::kEveryN;
-    cfg.fault.wal.fsync_every_n =
-        static_cast<std::uint64_t>(std::strtoull(fsync.c_str(), nullptr, 10));
-    require(cfg.fault.wal.fsync_every_n > 0,
-            "--wal-fsync must be never, batch, or a positive count");
+    cfg.fault.wal.fsync_every_n = parse_int<std::uint64_t>(
+        fsync, "--wal-fsync (never, batch or a count)", 1);
   }
-  if (opts.has("wal-segment-bytes")) {
-    cfg.fault.wal.segment_max_bytes =
-        static_cast<std::uint64_t>(opts.get_int("wal-segment-bytes", 0));
-  }
+  cfg.fault.wal.segment_max_bytes = int_flag<std::uint64_t>(
+      opts, "wal-segment-bytes", cfg.fault.wal.segment_max_bytes, 0);
   cfg.fault.wal.checkpoint_every_batches =
-      static_cast<std::uint64_t>(opts.get_int("wal-checkpoint-every", 0));
+      int_flag<std::uint64_t>(opts, "wal-checkpoint-every", 0, 0);
   cfg.fault.quarantine_path = opts.get_string("quarantine", "");
   cfg.fault.quarantine_max_records =
-      static_cast<std::uint64_t>(opts.get_int("quarantine-max", 1024));
+      int_flag<std::uint64_t>(opts, "quarantine-max", 1024, 0);
   cfg.fault.supervisor.breaker_threshold =
-      static_cast<unsigned>(opts.get_int("breaker-threshold", 3));
+      int_flag<unsigned>(opts, "breaker-threshold", 3, 0);
   cfg.fault.supervisor.breaker_cooldown_seconds =
       opts.get_double("breaker-cooldown", 5.0);
   cfg.fault.supervisor.backoff_initial_seconds =
@@ -727,10 +753,10 @@ int cmd_stream_replay(const Options& opts, const std::string& input) {
   cfg.fault.supervisor.refresh_deadline_seconds =
       opts.get_double("refresh-deadline", 0.0);
 
-  cfg.cpd.with_rank(static_cast<rank_t>(opts.get_int("rank", 16)))
-      .with_max_outer(static_cast<unsigned>(opts.get_int("max-outer", 50)))
+  cfg.cpd.with_rank(int_flag<rank_t>(opts, "rank", 16, 1))
+      .with_max_outer(int_flag<unsigned>(opts, "max-outer", 50, 0))
       .with_tolerance(static_cast<real_t>(opts.get_double("tol", 1e-5)))
-      .with_seed(static_cast<std::uint64_t>(opts.get_int("seed", 123)))
+      .with_seed(int_flag<std::uint64_t>(opts, "seed", 123, 0))
       .with_constraints(ModeConstraints::broadcast(parse_cli_constraint(opts)));
 
   std::printf("replaying %llu events in up to %zu batches (time mode %zu%s, "

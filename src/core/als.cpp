@@ -87,7 +87,7 @@ CpdResult cpd_als(const CsfSet& csf, const CpdConfig& config, real_t ridge) {
   als_config.leaf_format = LeafFormat::kDense;
   detail::check_frobenius_config(als_config, order, "cpd_als");
   const MttkrpKernel kernel = detail::resolve_kernel(
-      csf, als_config.mttkrp_kernel, LeafFormat::kDense, als_config.rank);
+      csf, als_config.mttkrp_kernel, LeafFormat::kDense);
 
   static const detail::LoopMetrics metrics =
       detail::LoopMetrics::family("als");

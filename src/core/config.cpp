@@ -226,15 +226,13 @@ ValidationReport CpdConfig::validate(std::size_t order) const {
             " takes the generalized per-row split solve, which walks the CSF "
             "tree directly and supports only leaf_format=dense");
   }
-  if (generalized_loss && (mttkrp_kernel == MttkrpKernel::kDimTree ||
-                           mttkrp_kernel == MttkrpKernel::kAlto)) {
+  if (generalized_loss && mttkrp_kernel == MttkrpKernel::kAlto) {
     add(Severity::kError, "loss",
         std::string("loss ") + to_cli_string(loss) +
             " takes the generalized per-row split solve, which needs "
-            "mode-rooted trees (CsfStrategy::kAllMode); the " +
-            to_string(mttkrp_kernel) +
-            " kernel caches intermediates over a single shared tree and "
-            "cannot serve it — use mttkrp_kernel=auto or allmode");
+            "mode-rooted trees (CsfStrategy::kAllMode); the alto kernel "
+            "linearizes a single shared tree and cannot serve it — use "
+            "mttkrp_kernel=auto or allmode");
   }
   if (loss.kind == LossKind::kKL) {
     for (std::size_t i = 0; i < constraints.size(); ++i) {
@@ -279,16 +277,14 @@ ValidationReport CpdConfig::validate(std::size_t order) const {
     }
   }
 
-  // The cached-intermediate kernels read the raw factors every refresh, so
-  // a compressed leaf mirror can never be consulted: reject rather than
-  // silently ignore the leaf_format request.
-  if ((mttkrp_kernel == MttkrpKernel::kDimTree ||
-       mttkrp_kernel == MttkrpKernel::kAlto) &&
+  // ALTO reads the raw factors of every mode, so a compressed leaf mirror
+  // can never be consulted: reject rather than silently ignore the
+  // leaf_format request.
+  if (mttkrp_kernel == MttkrpKernel::kAlto &&
       leaf_format != LeafFormat::kDense) {
     add(Severity::kError, "mttkrp_kernel",
-        std::string("the ") + to_string(mttkrp_kernel) +
-            " MTTKRP kernel supports only the DENSE leaf format, but "
-            "leaf_format is " +
+        std::string("the alto MTTKRP kernel supports only the DENSE leaf "
+                    "format, but leaf_format is ") +
             to_string(leaf_format));
   }
 

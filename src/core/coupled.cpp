@@ -185,8 +185,8 @@ CoupledResult coupled_factorize(const CsfSet& csf, const CpdConfig& config,
                             ": weight must be positive");
     }
   }
-  const MttkrpKernel kernel = detail::resolve_kernel(
-      csf, config.mttkrp_kernel, config.leaf_format, config.rank);
+  const MttkrpKernel kernel =
+      detail::resolve_kernel(csf, config.mttkrp_kernel, config.leaf_format);
 
   CoupledResult result;
   detail::SolverState state(order);

@@ -266,18 +266,11 @@ void SolverState::zero_duals(cspan<index_t> dims, rank_t rank) {
 }
 
 void QuadraticStep::begin_run() {
-  // Every entry point hands in fresh or restored factors; any cached
-  // dimension-tree partials belong to the previous iterate.
-  state_.ws.dimtree.invalidate_all();
   AOADMM_PROFILE_SCOPE("cpd/gram");
   for (std::size_t m = 0; m < state_.factors.size(); ++m) {
     gram(state_.factors[m], state_.ws.grams[m]);
     state_.sparse_cache.invalidate(m);
   }
-}
-
-void QuadraticStep::begin_iteration() {
-  dimtree_before_ = state_.ws.dimtree.stats();
 }
 
 void QuadraticStep::gram_product(std::size_t m) {
@@ -300,9 +293,6 @@ void QuadraticStep::finish_mode(std::size_t m) {
   AOADMM_PROFILE_SCOPE("cpd/gram");
   gram(state_.factors[m], state_.ws.grams[m]);
   state_.sparse_cache.invalidate(m);
-  // Drop exactly the dimension-tree partials that read this factor; the
-  // rest stay warm for the remaining modes of the sweep.
-  state_.ws.dimtree.invalidate_mode(m);
 }
 
 LoopFit QuadraticStep::fit(unsigned outer, CpdResult& result) {
@@ -316,22 +306,11 @@ LoopFit QuadraticStep::fit(unsigned outer, CpdResult& result) {
   return {err, err, false};
 }
 
-void QuadraticStep::fill_snapshot(obs::MetricsSnapshot& snap) const {
-  const DimTreeStats dt = state_.ws.dimtree.stats();
-  snap.dimtree_levels_computed =
-      dt.levels_computed - dimtree_before_.levels_computed;
-  snap.dimtree_levels_reused = dt.levels_reused - dimtree_before_.levels_reused;
-}
-
 ModeSystem LocalStep::produce_k(unsigned outer, std::size_t m, bool retry) {
   (void)outer;
   CpdWorkspace& ws = state_.ws;
   std::vector<Matrix>& factors = state_.factors;
-  if (retry) {
-    // A cached partial could carry the corruption; recompute from the
-    // factors, not from the tree's intermediates.
-    ws.dimtree.invalidate_all();
-  } else {
+  if (!retry) {
     gram_product(m);
   }
 
@@ -363,7 +342,7 @@ ModeSystem LocalStep::produce_k(unsigned outer, std::size_t m, bool retry) {
   }
   if (!used_sparse) {
     const ScopedTimer t(kernel);
-    mttkrp_dispatch(tree, factors, m, ws.mttkrp_out, kernel_, &ws.dimtree);
+    mttkrp_dispatch(tree, factors, m, ws.mttkrp_out, kernel_);
   }
   testing::maybe_inject_nan(ws.mttkrp_out);
   return {&ws.mttkrp_out, kernel.seconds(), used_sparse};
@@ -396,7 +375,7 @@ CpdResult resume_into(CpdCheckpoint& ck, cspan<index_t> dims, rank_t rank,
 }
 
 MttkrpKernel resolve_kernel(const CsfSet& csf, MttkrpKernel kernel,
-                            LeafFormat leaf_format, rank_t rank) {
+                            LeafFormat leaf_format) {
   if (kernel == MttkrpKernel::kAllMode &&
       csf.strategy() != CsfStrategy::kAllMode) {
     throw InvalidArgument(
@@ -410,26 +389,20 @@ MttkrpKernel resolve_kernel(const CsfSet& csf, MttkrpKernel kernel,
         "rebuild it with CsfStrategy::kOneMode to exercise the non-root "
         "kernels");
   }
-  if ((kernel == MttkrpKernel::kDimTree || kernel == MttkrpKernel::kAlto) &&
+  if (kernel == MttkrpKernel::kAlto &&
       csf.strategy() != CsfStrategy::kOneMode) {
     throw InvalidArgument(
-        std::string("mttkrp_kernel=") + to_string(kernel) +
-        " caches intermediates over a single shared tree; rebuild the "
+        "mttkrp_kernel=alto linearizes the single shared tree; rebuild the "
         "CsfSet with CsfStrategy::kOneMode");
-  }
-  if (kernel == MttkrpKernel::kDimTree && csf.order() < 3) {
-    throw InvalidArgument(
-        "mttkrp_kernel=dimtree needs order >= 3 (an order-2 tree has no "
-        "partial contractions to cache)");
   }
   if (kernel == MttkrpKernel::kAlto && !alto_linearizable(csf.dims())) {
     throw InvalidArgument(
         "mttkrp_kernel=alto: mode index bits exceed the 64-bit linearized "
-        "code; use onetree or dimtree for this tensor");
+        "code; use onetree for this tensor");
   }
   return resolve_auto_kernel(kernel, csf.strategy(), /*tiled=*/false,
                              leaf_format == LeafFormat::kDense, csf.order(),
-                             csf.dims(), csf.nnz(), rank);
+                             csf.dims(), csf.nnz());
 }
 
 void check_frobenius_config(const CpdConfig& config, std::size_t order,

@@ -134,8 +134,8 @@ class OuterLoopStep {
   /// Measure the fit of the finished iterate; set the result fields the
   /// driver owns (relative_error, objective_value, ...).
   virtual LoopFit fit(unsigned outer, CpdResult& result) = 0;
-  /// Driver-specific snapshot fields (dimension-tree reuse, shard
-  /// imbalance, exchange bytes). Called only when on_iteration is set.
+  /// Driver-specific snapshot fields (shard imbalance, exchange bytes).
+  /// Called only when on_iteration is set.
   virtual void fill_snapshot(obs::MetricsSnapshot& snap) const {
     (void)snap;
   }
@@ -162,8 +162,8 @@ class OuterLoop {
 
 /// The normal-equations steps: Grams, the ADMM update of admm_mode_update
 /// and the exact fit from the last mode's K. Subclasses produce K. The
-/// dimension-tree and sparse-mirror bookkeeping is a no-op for a step that
-/// never runs those kernels.
+/// sparse-mirror bookkeeping is a no-op for a step that never reads a
+/// compressed leaf.
 class QuadraticStep : public OuterLoopStep {
  public:
   /// All references must outlive the step.
@@ -172,12 +172,10 @@ class QuadraticStep : public OuterLoopStep {
 
   const SolverState& state() const override { return state_; }
   void begin_run() override;
-  void begin_iteration() override;
   ModeUpdateStats update(unsigned outer, std::size_t mode,
                          CpdResult& result) override;
   void finish_mode(std::size_t mode) override;
   LoopFit fit(unsigned outer, CpdResult& result) override;
-  void fill_snapshot(obs::MetricsSnapshot& snap) const override;
 
  protected:
   /// state_.ws.gram_prod = ⊛ of every Gram but `mode`'s (Algorithm 2,
@@ -187,14 +185,11 @@ class QuadraticStep : public OuterLoopStep {
   const CpdConfig& config_;
   const real_t x_norm_sq_;
   SolverState& state_;
-
- private:
-  DimTreeStats dimtree_before_;
 };
 
-/// The local step: K from the CsfSet's MTTKRP kernels (compressed leaves,
-/// ALTO or dimension-tree as configured). cpd_als and coupled_factorize
-/// derive from it to replace the update or extend K.
+/// The local step: K from the CsfSet's MTTKRP kernels (compressed leaves
+/// or ALTO as configured). cpd_als and coupled_factorize derive from it to
+/// replace the update or extend K.
 class LocalStep : public QuadraticStep {
  public:
   /// `kernel` comes from resolve_kernel().
@@ -218,10 +213,10 @@ CpdResult resume_into(CpdCheckpoint& ck, cspan<index_t> dims, rank_t rank,
 
 /// The MTTKRP kernel a local solve runs: `requested` checked against the
 /// compiled CsfSet (InvalidArgument when it cannot run there — wrong
-/// strategy, order or index width), then kAuto resolved by
+/// strategy or index width), then kAuto resolved by
 /// resolve_auto_kernel. Shared by CpdSolver, cpd_als and coupled_factorize.
 MttkrpKernel resolve_kernel(const CsfSet& csf, MttkrpKernel requested,
-                            LeafFormat leaf_format, rank_t rank);
+                            LeafFormat leaf_format);
 
 /// The configuration checks of a driver that solves the Frobenius normal
 /// equations and cannot resume (cpd_als, coupled_factorize): throws

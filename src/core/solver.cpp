@@ -48,8 +48,8 @@ CpdSolver::CpdSolver(const CsfSet& csf, CpdConfig config)
   if (!loss_->quadratic()) {
     // The generalized path assembles per-row systems from mode-rooted
     // subtrees: validate() already rejects the config-side combinations
-    // (cached-partial kernels, compressed leaves); the CsfSet itself is
-    // checked here.
+    // (the ALTO kernel, compressed leaves); the CsfSet itself is checked
+    // here.
     if (csf_.strategy() != CsfStrategy::kAllMode) {
       throw InvalidArgument(
           std::string("loss ") + loss_->name() +
@@ -66,7 +66,7 @@ CpdSolver::CpdSolver(const CsfSet& csf, CpdConfig config)
   // Kernel knob vs. the compilation actually handed in. validate() can only
   // see the config; the CsfSet is ground truth for what kernels can run.
   resolved_kernel_ = detail::resolve_kernel(csf_, config_.mttkrp_kernel,
-                                            config_.leaf_format, config_.rank);
+                                            config_.leaf_format);
   x_norm_sq_ = csf_.norm_sq();
 }
 

@@ -13,59 +13,29 @@ SparseFactorCache::Mirror SparseFactorCache::refresh(std::size_t mode,
     return m;
   }
 
-  const auto build = [&](LeafFormat resolved, const DensityStats& stats) {
-    if (resolved == LeafFormat::kCsr && !e.valid_csr) {
-      e.csr = CsrMatrix::from_dense(factor);
-      e.valid_csr = true;
-      m.rebuilt = true;
-    } else if (resolved == LeafFormat::kHybrid && !e.valid_hybrid) {
-      e.hybrid = HybridMatrix::from_dense(factor, stats);
-      e.valid_hybrid = true;
-      m.rebuilt = true;
-    }
-  };
-
   if (e.dirty) {
-    // One O(I·F) pass; the same stats drive the exploit decision, the
-    // kAuto structure choice (paper §VI future work), and the hybrid
-    // column classification.
+    // One O(I·F) pass; the same stats drive the exploit decision and the
+    // hybrid column classification.
     const DensityStats stats = measure_density(factor);
     e.density = stats.density;
-    e.valid_csr = false;
-    e.valid_hybrid = false;
-    e.resolved = format;
-    if (format == LeafFormat::kAuto) {
-      e.resolved = auto_select_leaf_format(stats.nnz, factor.rows(),
-                                           factor.cols(), stats.column_nnz,
-                                           threshold);
-    }
-    if (e.density < threshold && e.resolved != LeafFormat::kDense) {
-      build(e.resolved, stats);
+    if (e.density < threshold) {
+      if (format == LeafFormat::kCsr) {
+        e.csr = CsrMatrix::from_dense(factor);
+      } else {
+        e.hybrid = HybridMatrix::from_dense(factor, stats);
+      }
+      m.rebuilt = true;
     }
     e.dirty = false;
-  } else if (e.density < threshold) {
-    // Same pattern, different format requested than last time: build it.
-    LeafFormat resolved = format;
-    if (format == LeafFormat::kAuto) {
-      resolved = e.resolved;
-    } else {
-      e.resolved = format;
-    }
-    if (resolved != LeafFormat::kDense &&
-        ((resolved == LeafFormat::kCsr && !e.valid_csr) ||
-         (resolved == LeafFormat::kHybrid && !e.valid_hybrid))) {
-      build(resolved, measure_density(factor));
-    }
   }
 
   m.density = e.density;
-  m.format = e.resolved;
-  const LeafFormat want =
-      format == LeafFormat::kAuto ? e.resolved : format;
-  if (want == LeafFormat::kCsr && e.valid_csr) {
-    m.csr = &e.csr;
-  } else if (want == LeafFormat::kHybrid && e.valid_hybrid) {
-    m.hybrid = &e.hybrid;
+  if (e.density < threshold) {
+    if (format == LeafFormat::kCsr) {
+      m.csr = &e.csr;
+    } else {
+      m.hybrid = &e.hybrid;
+    }
   }
   return m;
 }

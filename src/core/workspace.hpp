@@ -9,7 +9,6 @@
 
 #include "core/admm.hpp"
 #include "la/matrix.hpp"
-#include "mttkrp/dimtree.hpp"
 #include "mttkrp/mttkrp.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/density.hpp"
@@ -33,28 +32,20 @@ class SparseFactorCache {
     real_t density = 1;
     /// True if a (re)build happened during this call (conversion cost).
     bool rebuilt = false;
-    /// The concrete format in effect (kAuto requests resolve to this).
-    LeafFormat format = LeafFormat::kDense;
   };
 
   /// Measure `factor`'s density; when below `threshold`, (re)build and
   /// return the mirror in `format`. Above the threshold the mirror pointers
-  /// stay null and the caller uses the dense kernel.
+  /// stay null and the caller uses the dense kernel. A mode keeps one
+  /// mirror: the caller passes the same `format` and `threshold` on every
+  /// call (a solver passes its configured ones).
   Mirror refresh(std::size_t mode, const Matrix& factor, LeafFormat format,
                  real_t threshold);
-
-  /// Density from the most recent refresh of `mode` (1 if never refreshed).
-  real_t last_density(std::size_t mode) const {
-    return entries_.at(mode).density;
-  }
 
  private:
   struct Entry {
     bool dirty = true;
     real_t density = 1;
-    bool valid_csr = false;
-    bool valid_hybrid = false;
-    LeafFormat resolved = LeafFormat::kDense;
     CsrMatrix csr;
     HybridMatrix hybrid;
   };
@@ -68,10 +59,6 @@ struct CpdWorkspace {
   Matrix gram_prod;   // ⊛ of the other modes' Grams
   Matrix fit_acc;     // ⊛ of ALL Grams, for the fit evaluation
   std::vector<Matrix> grams;  // per-mode AᵀA, kept current
-  /// Cached partial contractions for the kDimTree kernel (grow-only; empty
-  /// until that kernel runs). Lives in the workspace so steady-state solver
-  /// iterations stay zero-alloc.
-  detail::DimTreeEngine dimtree;
 
   explicit CpdWorkspace(std::size_t order) : grams(order) {}
 };

@@ -1,13 +1,13 @@
 // Instruction-set flavors of the MTTKRP kernels. Internal header.
 //
 // Every MTTKRP compute body (the root CSF skeleton with its dense, CSR and
-// hybrid leaves, the non-root scatter kernels, ALTO and the dimension-tree
-// passes) is compiled once per x86-64 level: the build's baseline,
-// x86-64-v3 (AVX2, FMA, BMI2) and x86-64-v4 (AVX-512). Each flavor lives in
-// its own namespace (isa_base, isa_v3, isa_v4) and exports one table of
-// function pointers; the public entry points keep their argument checks,
-// observability scope, output resizing and schedule resolution in baseline
-// code and call the widest flavor the CPU reports, chosen once per process.
+// hybrid leaves, the non-root scatter kernels and ALTO) is compiled once
+// per x86-64 level: the build's baseline, x86-64-v3 (AVX2, FMA, BMI2) and
+// x86-64-v4 (AVX-512). Each flavor lives in its own namespace (isa_base,
+// isa_v3, isa_v4) and exports one table of function pointers; the public
+// entry points keep their argument checks, observability scope, output
+// resizing and schedule resolution in baseline code and call the widest
+// flavor the CPU reports, chosen once per process.
 //
 // All flavors compile without floating-point contraction
 // (-ffp-contract=off), so they return the same bits: only the vector width
@@ -52,18 +52,6 @@ inline constexpr IsaFlavor kIsaFlavors[] = {
 /// "x86-64-v4".
 const char* to_string(IsaFlavor flavor) noexcept;
 
-/// One dimension-tree pass as the flavored kernels see it: the CSF level
-/// the pass refreshes or targets, and the nnz-weighted chunk boundaries of
-/// the level the pass walks (DimTreeEngine composes them).
-struct DimTreePass {
-  const CsfTensor& tree;
-  cspan<const Matrix> factors;
-  std::size_t rank;
-  std::size_t level;
-  cspan<std::size_t> bounds;
-  int planned;
-};
-
 /// The compute bodies of one flavor. Every kernel expects checked
 /// arguments and an output already sized and zeroed; scatter kernels take
 /// a resolved schedule (never kAuto) and `planned` >= 1 threads.
@@ -82,20 +70,6 @@ struct MttkrpKernels {
   void (*alto)(const AltoTensor& alto, cspan<const Matrix> factors,
                std::size_t target_mode, Matrix& out, MttkrpSchedule sched,
                int planned);
-  /// Dimension-tree passes (mttkrp/dimtree.hpp): refresh up[level] from
-  /// up[level+1] (null above the leaves), refresh down[level] from
-  /// down[level-1] (null below the root), and combine the cached partials
-  /// into a root, internal or leaf target.
-  void (*dimtree_up)(const DimTreePass& pass, const real_t* up_next,
-                     real_t* up);
-  void (*dimtree_down)(const DimTreePass& pass, const real_t* down_parent,
-                       real_t* down);
-  void (*dimtree_root)(const DimTreePass& pass, const real_t* up1,
-                       Matrix& out);
-  void (*dimtree_inner)(const DimTreePass& pass, const real_t* down_parent,
-                        const real_t* up, Matrix& out);
-  void (*dimtree_leaf)(const DimTreePass& pass, const real_t* down_parent,
-                       Matrix& out);
 };
 
 namespace isa_base {

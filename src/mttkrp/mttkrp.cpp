@@ -2,54 +2,60 @@
 
 #include <algorithm>
 
-#include "util/error.hpp"
+#include "mttkrp/alto.hpp"
+#include "tensor/alto.hpp"
+#include "util/log.hpp"
 
 namespace aoadmm {
 
-LeafFormat auto_select_leaf_format(offset_t nnz, std::size_t rows,
-                                   std::size_t cols,
-                                   cspan<offset_t> column_nnz,
-                                   real_t threshold) {
-  AOADMM_CHECK(column_nnz.size() == cols);
-  const std::size_t total = rows * cols;
-  if (total == 0) {
-    return LeafFormat::kDense;
+MttkrpKernel resolve_auto_kernel(MttkrpKernel requested, CsfStrategy strategy,
+                                 bool /*tiled*/, bool dense_leaf,
+                                 std::size_t order, cspan<index_t> dims,
+                                 offset_t nnz, rank_t /*rank*/) {
+  if (requested != MttkrpKernel::kAuto) {
+    return requested;
   }
-  const real_t density =
-      static_cast<real_t>(nnz) / static_cast<real_t>(total);
-  if (density >= threshold) {
-    return LeafFormat::kDense;
+  if (strategy == CsfStrategy::kAllMode) {
+    // One race-free root tree per mode: the per-mode root kernel is already
+    // optimal.
+    return MttkrpKernel::kAllMode;
   }
+  if (!dense_leaf || order != 3) {
+    return MttkrpKernel::kOneTree;
+  }
+  // Order 3: the one-tree walk is already two-level. Prefer ALTO only for
+  // the sparse, skewed tensors whose root slices defeat fiber splitting.
+  index_t dmin = dims.empty() ? 1 : dims[0];
+  index_t dmax = dmin;
+  double cells = 1.0;
+  for (index_t d : dims) {
+    dmin = std::min(dmin, d);
+    dmax = std::max(dmax, d);
+    cells *= static_cast<double>(d);
+  }
+  const double density = cells > 0 ? static_cast<double>(nnz) / cells : 1.0;
+  const double skew =
+      dmin > 0 ? static_cast<double>(dmax) / static_cast<double>(dmin) : 1.0;
+  if (skew > 4.0 && density < 1e-4 && alto_linearizable(dims)) {
+    AOADMM_LOG_DEBUG << "mttkrp kAuto -> kAlto (skew=" << skew
+                     << " density=" << density
+                     << " isa=" << mttkrp_isa_flavor() << ")";
+    return MttkrpKernel::kAlto;
+  }
+  AOADMM_LOG_DEBUG << "mttkrp kAuto -> kOneTree (skew=" << skew
+                   << " density=" << density
+                   << " isa=" << mttkrp_isa_flavor() << ")";
+  return MttkrpKernel::kOneTree;
+}
 
-  // Column concentration: how much of the non-zero mass lives in the
-  // "dense" columns (those above the mean column count)? Strong
-  // concentration is the pattern the hybrid panel exploits (paper §IV.C:
-  // "C may have a few mostly-dense columns, with the remaining ones
-  // containing only a few non-zeros").
-  const real_t mean_col =
-      static_cast<real_t>(nnz) / static_cast<real_t>(cols);
-  offset_t dense_mass = 0;
-  std::size_t dense_cols = 0;
-  for (const offset_t c : column_nnz) {
-    if (static_cast<real_t>(c) > mean_col) {
-      dense_mass += c;
-      ++dense_cols;
-    }
+void mttkrp_dispatch(const CsfTensor& csf, cspan<const Matrix> factors,
+                     std::size_t target_mode, Matrix& out,
+                     MttkrpKernel kernel) {
+  if (kernel == MttkrpKernel::kAlto) {
+    mttkrp_alto(csf.alto_index(), factors, target_mode, out);
+    return;
   }
-  const real_t concentration =
-      nnz > 0 ? static_cast<real_t>(dense_mass) / static_cast<real_t>(nnz)
-              : real_t{0};
-  const real_t dense_col_frac =
-      static_cast<real_t>(dense_cols) / static_cast<real_t>(cols);
-
-  // Few columns holding most of the mass: hybrid. The 2/3-mass-in-1/3-of-
-  // columns cut matches where the paper observed CSR-H to win (Reddit) vs
-  // lose (Amazon, whose mass is spread thin over a very long mode).
-  if (dense_cols > 0 && concentration > real_t{2} / 3 &&
-      dense_col_frac < real_t{1} / 3) {
-    return LeafFormat::kHybrid;
-  }
-  return LeafFormat::kCsr;
+  mttkrp_dispatch(csf, factors, target_mode, out);
 }
 
 }  // namespace aoadmm

@@ -10,11 +10,11 @@
 //
 // The root-mode CSF kernels parallelize over nnz-weighted static chunks of
 // root slices (race-free); `factors` is indexed by ORIGINAL mode id and all
-// matrices must share the same rank F. The scatter kernels (non-root, ALTO,
-// dimension tree) take an MttkrpSchedule policy controlling how the
-// reduction maps to threads (see below and docs/performance.md). Every
-// kernel but the COO oracle runs the widest x86-64 flavor the CPU reports
-// (mttkrp/isa.hpp, mttkrp_isa_flavor()); all flavors return the same bits.
+// matrices must share the same rank F. The scatter kernels (non-root, ALTO)
+// take an MttkrpSchedule policy controlling how the reduction maps to
+// threads (see below and docs/performance.md). Every kernel but the COO
+// oracle runs the widest x86-64 flavor the CPU reports (mttkrp/isa.hpp,
+// mttkrp_isa_flavor()); all flavors return the same bits.
 #pragma once
 
 #include "la/matrix.hpp"
@@ -26,14 +26,11 @@
 namespace aoadmm {
 
 /// Storage format used for the leaf-level factor during MTTKRP; the
-/// coarse-grained knob the Table II experiment sweeps. kAuto implements the
-/// paper's future-work item (§VI): pick per factor, per iteration, from the
-/// measured sparsity pattern (see auto_select_leaf_format).
+/// coarse-grained knob the Table II experiment sweeps.
 enum class LeafFormat {
   kDense,
   kCsr,
   kHybrid,
-  kAuto,
 };
 
 const char* to_string(LeafFormat f) noexcept;
@@ -63,10 +60,6 @@ const char* to_string(MttkrpSchedule s) noexcept;
 ///    ALLMODE CsfSet).
 ///  * kOneTree — a single tree; non-root modes go through
 ///    mttkrp_csf_nonroot (needs a ONEMODE CsfSet).
-///  * kDimTree — dimension-tree engine over a single tree: per-level
-///    partial contractions are cached across the cyclic mode sweep and
-///    invalidated per factor update (needs a ONEMODE CsfSet of order >= 3;
-///    see mttkrp/dimtree.hpp).
 ///  * kAlto    — bit-interleaved linearized kernel: one mode-agnostic
 ///    sorted non-zero stream serves every target mode (needs a ONEMODE
 ///    CsfSet with alto_linearizable dims; see mttkrp/alto.hpp).
@@ -76,7 +69,6 @@ enum class MttkrpKernel {
   kAuto,
   kAllMode,
   kOneTree,
-  kDimTree,
   kAlto,
 };
 
@@ -96,45 +88,21 @@ MttkrpSchedule resolve_nonroot_schedule(MttkrpSchedule s, index_t out_rows,
                                         std::size_t rank,
                                         int nthreads) noexcept;
 
-class DimTreeEngine;  // mttkrp/dimtree.hpp
-
 }  // namespace detail
-
-/// Ranks at or above this stay on kOneTree when kAuto would otherwise pick
-/// kDimTree: the engine's per-level caches are O(nnz x rank) and past this
-/// point their memory traffic outweighs the saved flops (measured on the
-/// committed bench_mttkrp_kernels head-to-heads).
-inline constexpr rank_t kDimTreeMaxRank = 64;
 
 /// Data-driven kAuto kernel resolution (the selection heuristic behind the
 /// CPD drivers; logged at AOADMM_LOG_LEVEL=debug). A non-kAuto `requested`
 /// is returned unchanged. Otherwise ALLMODE sets take the per-mode root
-/// kernel, and ONEMODE sets pick between kOneTree, kDimTree (order >= 4 and
-/// rank < kDimTreeMaxRank — the deeper the tree, the more the cached
-/// partials amortize, while high ranks blow the cache budget) and kAlto
-/// (order 3 with strong mode-length skew and low density, where even nnz
-/// splitting beats fiber splitting). `dense_leaf`
-/// must be false when a CSR/hybrid leaf mirror is in play — the cached-
-/// partial kernels require all-dense factors. `rank` 0 means unknown
-/// (treated as small). `tiled` is unused: only bench/e2e, which compiles
-/// against this signature, still passes it.
+/// kernel, and ONEMODE sets pick between kOneTree and kAlto (order 3 with
+/// strong mode-length skew and low density, where even nnz splitting beats
+/// fiber splitting). `dense_leaf` must be false when a CSR/hybrid leaf
+/// mirror is in play — ALTO reads every factor dense. `tiled` and `rank`
+/// are unused: only bench/e2e, which compiles against this signature,
+/// still passes them.
 MttkrpKernel resolve_auto_kernel(MttkrpKernel requested, CsfStrategy strategy,
                                  bool tiled, bool dense_leaf,
                                  std::size_t order, cspan<index_t> dims,
                                  offset_t nnz, rank_t rank = 0);
-
-/// Heuristic structure selection from a factor's measured pattern
-/// (paper §VI, "automatically select the best data structure"):
-///  * density >= threshold            → kDense (compression can't pay)
-///  * few dense columns concentrating
-///    most non-zeros                  → kHybrid (panel computes the bulk,
-///                                      prefetch hides the CSR tail)
-///  * otherwise                       → kCsr
-/// `rows`/`cols` and the per-column counts come from DensityStats.
-LeafFormat auto_select_leaf_format(offset_t nnz, std::size_t rows,
-                                   std::size_t cols,
-                                   cspan<offset_t> column_nnz,
-                                   real_t threshold);
 
 /// K = X(m)·KRP with all-dense factors, m = csf.level_mode(0). `out` is
 /// resized to (I_m, F) and overwritten.
@@ -165,13 +133,12 @@ void mttkrp_dispatch(const CsfTensor& csf, cspan<const Matrix> factors,
                      MttkrpSchedule schedule = MttkrpSchedule::kAuto);
 
 /// Kernel-aware dispatch used by the solver loops, under the kAuto
-/// schedule. kDimTree routes through `dimtree` (required non-null then; the
-/// engine owns the cached partials), kAlto through the tree's lazily built
-/// linearized index (CsfTensor::alto_index()), everything else through the
-/// tree-shape dispatch above.
+/// schedule. kAlto routes through the tree's lazily built linearized index
+/// (CsfTensor::alto_index()), everything else through the tree-shape
+/// dispatch above.
 void mttkrp_dispatch(const CsfTensor& csf, cspan<const Matrix> factors,
-                     std::size_t target_mode, Matrix& out, MttkrpKernel kernel,
-                     detail::DimTreeEngine* dimtree = nullptr);
+                     std::size_t target_mode, Matrix& out,
+                     MttkrpKernel kernel);
 
 /// Serial reference implementation straight from the definition.
 void mttkrp_coo(const CooTensor& coo, cspan<const Matrix> factors,

@@ -17,8 +17,6 @@ const char* to_string(LeafFormat fmt) noexcept {
       return "CSR";
     case LeafFormat::kHybrid:
       return "CSR-H";
-    case LeafFormat::kAuto:
-      return "AUTO";
   }
   return "?";
 }
@@ -43,8 +41,6 @@ const char* to_string(MttkrpKernel k) noexcept {
       return "allmode";
     case MttkrpKernel::kOneTree:
       return "onetree";
-    case MttkrpKernel::kDimTree:
-      return "dimtree";
     case MttkrpKernel::kAlto:
       return "alto";
   }

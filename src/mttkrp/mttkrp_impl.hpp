@@ -22,8 +22,7 @@ inline double mttkrp_now() noexcept {
 /// addresses, registered inside the region and read by the reduction pass.
 /// Inline storage for the common case so steady-state calls allocate
 /// nothing (same pattern as obs::BusyTimes). Shared by the privatized /
-/// owner-computes scatter paths of the CSF non-root, dimension-tree and
-/// ALTO kernels.
+/// owner-computes scatter paths of the CSF non-root and ALTO kernels.
 class BufferTable {
  public:
   explicit BufferTable(int n) : n_(n) {

@@ -45,9 +45,7 @@ void MetricsSnapshot::write_json(std::ostream& out) const {
     json_number(out, static_cast<double>(factor_density[m]));
   }
   out << "], \"mttkrp_count\": " << mttkrp_count
-      << ", \"sparse_mttkrp_count\": " << sparse_mttkrp_count
-      << ", \"dimtree_levels_computed\": " << dimtree_levels_computed
-      << ", \"dimtree_levels_reused\": " << dimtree_levels_reused << ", ";
+      << ", \"sparse_mttkrp_count\": " << sparse_mttkrp_count << ", ";
   num("shard_imbalance", shard_imbalance);
   out << "\"exchange_bytes\": " << exchange_bytes << "}";
 }

@@ -52,11 +52,6 @@ struct MetricsSnapshot {
   std::uint64_t mttkrp_count = 0;
   std::uint64_t sparse_mttkrp_count = 0;
 
-  /// Dimension-tree kernel reuse, this iteration: partial-contraction
-  /// levels recomputed vs. served from cache. Zero unless kDimTree ran.
-  std::uint64_t dimtree_levels_computed = 0;
-  std::uint64_t dimtree_levels_reused = 0;
-
   /// Sharded solves only (dist/sharded_solver.hpp): per-shard busy-time
   /// imbalance this iteration (1 - mean/max, like thread_imbalance) and
   /// exchange wire bytes moved this iteration. Zero for unsharded runs.

@@ -239,10 +239,9 @@ CooTensor build_coo(const ParsedTns<index_t>& parsed) {
 }
 
 /// Wide-index assembly: modes whose largest coordinate exceeds index_t are
-/// compacted — occupied slices renumbered densely in sorted order — which
-/// is exactly what tensor/compact.hpp does post-load for empty slices. A
-/// mode with more distinct occupied slices than index_t can address cannot
-/// be represented and is rejected.
+/// compacted — occupied slices renumbered densely in sorted order, so empty
+/// slices take no row. A mode with more distinct occupied slices than
+/// index_t can address cannot be represented and is rejected.
 CooTensor build_coo_wide(const ParsedTns<std::uint64_t>& parsed) {
   const std::size_t order = parsed.order;
   const std::size_t n = parsed.values.size();

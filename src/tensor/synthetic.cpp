@@ -61,6 +61,9 @@ CooTensor make_synthetic(const SyntheticSpec& spec) {
   const std::size_t order = spec.dims.size();
   AOADMM_CHECK_MSG(order >= 2, "synthetic tensors must have order >= 2");
   AOADMM_CHECK(spec.nnz > 0);
+  for (const index_t d : spec.dims) {
+    AOADMM_CHECK_MSG(d >= 1, "synthetic tensors need every mode length >= 1");
+  }
   offset_t capacity = 1;
   bool overflow = false;
   for (const index_t d : spec.dims) {

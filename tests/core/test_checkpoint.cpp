@@ -15,6 +15,7 @@
 #include "tensor/csf.hpp"
 #include "testing/fault_injection.hpp"
 #include "testing/helpers.hpp"
+#include "testing/mutation.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -156,6 +157,26 @@ TEST(Checkpoint, RejectsCorruptPayloadViaChecksum) {
   bytes[bytes.size() / 2] ^= 0x01;  // flip one payload bit
   std::stringstream corrupt(bytes, std::ios::in | std::ios::binary);
   EXPECT_THROW(read_checkpoint(corrupt), ParseError);
+}
+
+TEST(Checkpoint, EveryTruncationAndBitFlipThrowsParseError) {
+  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+  write_checkpoint(sample_checkpoint(), buf);
+  // Any other exception type escapes and fails the test.
+  std::size_t accepted = 0;
+  const std::size_t mutants = testing::for_each_mutation(
+      buf.str(), [&](const std::string& bytes, const std::string& what) {
+        std::istringstream in(bytes, std::ios::in | std::ios::binary);
+        try {
+          read_checkpoint(in);
+          if (accepted++ == 0) {
+            ADD_FAILURE() << what << " decoded";
+          }
+        } catch (const ParseError&) {
+        }
+      });
+  EXPECT_EQ(accepted, 0u);
+  EXPECT_GT(mutants, 1000u);
 }
 
 TEST(Checkpoint, MatrixSizeThatOverflowsThrowsParseError) {
@@ -329,6 +350,25 @@ TEST(KruskalSerialization, RankBeyondTheBytesPresentThrowsParseError) {
   bytes = with_field(bytes, 52, std::uint64_t{rank});
   std::stringstream in(bytes, std::ios::in | std::ios::binary);
   EXPECT_THROW(read_kruskal(in), ParseError);
+}
+
+TEST(KruskalSerialization, EveryTruncationAndBitFlipThrowsParseError) {
+  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+  write_kruskal(KruskalTensor(testing::random_factors({6, 4, 3}, 3, 33)), buf);
+  std::size_t accepted = 0;
+  const std::size_t mutants = testing::for_each_mutation(
+      buf.str(), [&](const std::string& bytes, const std::string& what) {
+        std::istringstream in(bytes, std::ios::in | std::ios::binary);
+        try {
+          read_kruskal(in);
+          if (accepted++ == 0) {
+            ADD_FAILURE() << what << " decoded";
+          }
+        } catch (const ParseError&) {
+        }
+      });
+  EXPECT_EQ(accepted, 0u);
+  EXPECT_GT(mutants, 1000u);
 }
 
 TEST(KruskalSerialization, RejectsCheckpointFile) {

@@ -214,27 +214,6 @@ TEST(Cpd, SparseLeafFormatsMatchDenseResult) {
   }
 }
 
-TEST(Cpd, AutoLeafFormatMatchesDenseTrajectory) {
-  // kAuto picks CSR or hybrid per factor per iteration; the arithmetic is
-  // format-independent, so the trajectory must match the dense run.
-  const CooTensor x = lowrank_tensor(30, /*factor_zero=*/0.5);
-  const CsfSet csf(x);
-  ConstraintSpec l1{ConstraintKind::kNonNegativeL1};
-  l1.lambda = 0.1;
-  CpdConfig dense_opts = quick_config();
-  dense_opts.max_outer_iterations = 12;
-  dense_opts.tolerance = 0;
-  dense_opts.with_constraints(ModeConstraints::broadcast(l1));
-  const CpdResult rd = CpdSolver(csf, dense_opts).solve();
-
-  CpdConfig auto_opts = dense_opts;
-  auto_opts.leaf_format = LeafFormat::kAuto;
-  auto_opts.sparsity_threshold = 0.95;
-  const CpdResult ra = CpdSolver(csf, auto_opts).solve();
-  EXPECT_NEAR(ra.relative_error, rd.relative_error, 1e-8);
-  EXPECT_GT(ra.sparse_mttkrp_count, 0u);
-}
-
 TEST(Cpd, SparseMttkrpCountedWhenFactorsSparse) {
   const CooTensor x = lowrank_tensor(15, /*factor_zero=*/0.6);
   const CsfSet csf(x);

@@ -79,24 +79,6 @@ TEST(SparseCache, HybridFormat) {
   EXPECT_LT(max_abs_diff(m.hybrid->to_dense(), f), 1e-15);
 }
 
-TEST(SparseCache, FormatSwitchRebuildsWithoutInvalidate) {
-  SparseFactorCache cache(1);
-  const Matrix f = sparse_factor(60, 10, 0.8, 7);
-  const auto csr = cache.refresh(0, f, LeafFormat::kCsr, 0.5);
-  ASSERT_NE(csr.csr, nullptr);
-  const auto hybrid = cache.refresh(0, f, LeafFormat::kHybrid, 0.5);
-  ASSERT_NE(hybrid.hybrid, nullptr);
-  EXPECT_TRUE(hybrid.rebuilt);
-}
-
-TEST(SparseCache, LastDensityTracked) {
-  SparseFactorCache cache(2);
-  EXPECT_DOUBLE_EQ(cache.last_density(0), 1.0);  // never refreshed
-  const Matrix f = sparse_factor(50, 8, 0.9, 8);
-  const auto m = cache.refresh(0, f, LeafFormat::kCsr, 0.5);
-  EXPECT_DOUBLE_EQ(cache.last_density(0), m.density);
-}
-
 TEST(AdmmScratchTest, EnsureGrowsLazily) {
   AdmmScratch s;
   s.ensure(10, 4);

@@ -12,6 +12,7 @@
 #include "dist/shard_plan.hpp"
 #include "mttkrp/mttkrp.hpp"
 #include "testing/helpers.hpp"
+#include "testing/mutation.hpp"
 #include "util/checksum.hpp"
 #include "util/error.hpp"
 
@@ -85,7 +86,8 @@ TEST(ShardTileStore, DeserializeRejectsCorruptBlobs) {
 // The exhaustive form of the corruption check above: the blob is small
 // enough to try every proper prefix and every single-bit flip.
 TEST(ShardTileStore, DeserializeRejectsEveryTruncationAndBitFlip) {
-  const std::vector<char> blob = sample_tree().serialize();
+  const std::vector<char> serialized = sample_tree().serialize();
+  const std::string blob(serialized.begin(), serialized.end());
   ASSERT_GT(blob.size(), 16u);
 
   // The trailer is XXH64 over everything after the 8-byte magic.
@@ -97,33 +99,20 @@ TEST(ShardTileStore, DeserializeRejectsEveryTruncationAndBitFlip) {
   // Report only the first accepted mutation, so a regression prints one
   // failure rather than thousands.
   std::size_t accepted = 0;
-  const auto expect_rejected = [&](const std::vector<char>& bytes,
-                                   std::size_t n, const std::string& what) {
-    try {
-      CsfTensor::deserialize(bytes.data(), n);
-      if (accepted++ == 0) {
-        ADD_FAILURE() << what << " decoded";
-      }
-    } catch (const ParseError&) {
-    }
-  };
-  for (std::size_t n = 0; n < blob.size(); ++n) {
-    expect_rejected(blob, n, "prefix of " + std::to_string(n) + " bytes");
-  }
-  std::vector<char> mutated = blob;
-  for (std::size_t i = 0; i < blob.size(); ++i) {
-    for (int bit = 0; bit < 8; ++bit) {
-      mutated[i] = static_cast<char>(blob[i] ^ (1 << bit));
-      expect_rejected(mutated, mutated.size(),
-                      "flip of byte " + std::to_string(i) + " bit " +
-                          std::to_string(bit));
-    }
-    mutated[i] = blob[i];
-  }
+  testing::for_each_mutation(
+      blob, [&](const std::string& bytes, const std::string& what) {
+        try {
+          CsfTensor::deserialize(bytes.data(), bytes.size());
+          if (accepted++ == 0) {
+            ADD_FAILURE() << what << " decoded";
+          }
+        } catch (const ParseError&) {
+        }
+      });
   EXPECT_EQ(accepted, 0u);
 
   // A blob of the previous format version is refused by its magic.
-  std::vector<char> old_version = blob;
+  std::vector<char> old_version = serialized;
   old_version[5] = '1';
   ASSERT_EQ(std::memcmp(old_version.data(), "AOCSF1", 6), 0);
   EXPECT_THROW(CsfTensor::deserialize(old_version.data(), old_version.size()),

@@ -1,9 +1,9 @@
 // Tests for the instruction-set flavors of the MTTKRP kernels
 // (mttkrp/isa.hpp): every flavor the CPU supports must return the baseline
 // flavor's bits for every kernel — root CSF with dense, CSR and hybrid
-// leaves, non-root weighted and owner, ALTO serial / privatized / owner,
-// and the dimension tree — across orders 3-5, empty slices, Zipf skew,
-// ranks on and off the fixed-rank dispatch points, and 1, 3 and 4 threads.
+// leaves, non-root weighted and owner, and ALTO serial / privatized /
+// owner — across orders 3-5, empty slices, Zipf skew, ranks on and off the
+// fixed-rank dispatch points, and 1, 3 and 4 threads.
 // The baseline flavor itself (which the wider CPUs never run through the
 // public entry points, portable ALTO decode included) is checked against
 // the COO oracle.
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "la/blas.hpp"
-#include "mttkrp/dimtree.hpp"
 #include "mttkrp/isa.hpp"
 #include "mttkrp/mttkrp.hpp"
 #include "parallel/runtime.hpp"
@@ -134,22 +133,6 @@ void run_all_kernels(const MttkrpKernels& k, const CooTensor& x,
     for (std::size_t target = 0; target < order; ++target) {
       out.emplace_back(dims[target], f);
       k.alto(alto, factors, target, out.back(), sched, planned);
-    }
-  }
-
-  // Dimension tree: two cyclic sweeps, each factor perturbed and
-  // invalidated after its update, so both fresh and reused partials feed
-  // every target.
-  detail::DimTreeEngine engine(k);
-  auto sweep_factors = factors;
-  for (int sweep = 0; sweep < 2; ++sweep) {
-    for (std::size_t m = 0; m < order; ++m) {
-      out.emplace_back();
-      engine.mttkrp(tree, sweep_factors, m, out.back());
-      for (real_t& v : sweep_factors[m].flat()) {
-        v = v * real_t{0.75} + real_t{0.125};
-      }
-      engine.invalidate_mode(m);
     }
   }
 }
@@ -271,18 +254,6 @@ TEST(MttkrpIsaBaseline, MatchesOracleEveryKernel) {
           mttkrp_coo(x, factors, target, want);
           EXPECT_LT(max_abs_diff(got[i++], want), 1e-12)
               << "alto target " << target;
-        }
-      }
-      auto sweep_factors = factors;
-      for (int sweep = 0; sweep < 2; ++sweep) {
-        for (std::size_t m = 0; m < order; ++m) {
-          Matrix want;
-          mttkrp_coo(x, sweep_factors, m, want);
-          EXPECT_LT(max_abs_diff(got[i++], want), 1e-12)
-              << "dimtree sweep " << sweep << " mode " << m;
-          for (real_t& v : sweep_factors[m].flat()) {
-            v = v * real_t{0.75} + real_t{0.125};
-          }
         }
       }
       EXPECT_EQ(i, got.size());

@@ -2,7 +2,7 @@
 // (weighted / owner) against the COO oracle across orders, ranks straddling
 // the fixed-rank microkernel dispatch points, and thread counts (serial +
 // oversubscribed), plus the structural invariants of the cached scheduling
-// plans and the determinism the kernels guarantee.
+// plans, the determinism the kernels guarantee and the kAuto kernel choice.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -224,8 +224,45 @@ TEST(MttkrpSchedule, ScheduleAndKernelNames) {
   EXPECT_STREQ(to_string(MttkrpKernel::kAuto), "auto");
   EXPECT_STREQ(to_string(MttkrpKernel::kAllMode), "allmode");
   EXPECT_STREQ(to_string(MttkrpKernel::kOneTree), "onetree");
-  EXPECT_STREQ(to_string(MttkrpKernel::kDimTree), "dimtree");
   EXPECT_STREQ(to_string(MttkrpKernel::kAlto), "alto");
+}
+
+TEST(MttkrpSchedule, AutoKernelSelectionHeuristic) {
+  const std::vector<index_t> cube{32, 30, 28};
+  const std::vector<index_t> skewed{4000, 50, 40};
+  const std::vector<index_t> order4{20, 18, 16, 14};
+
+  // Explicit requests pass through untouched.
+  EXPECT_EQ(resolve_auto_kernel(MttkrpKernel::kOneTree,
+                                CsfStrategy::kOneMode, false, true, 3, cube,
+                                900),
+            MttkrpKernel::kOneTree);
+  EXPECT_EQ(resolve_auto_kernel(MttkrpKernel::kAlto, CsfStrategy::kOneMode,
+                                false, true, 3, cube, 900),
+            MttkrpKernel::kAlto);
+  // ALLMODE sets keep the per-mode root kernels.
+  EXPECT_EQ(resolve_auto_kernel(MttkrpKernel::kAuto, CsfStrategy::kAllMode,
+                                false, true, 4, order4, 900),
+            MttkrpKernel::kAllMode);
+  // Compressed leaf mirrors rule out ALTO, even where it would win.
+  EXPECT_EQ(resolve_auto_kernel(MttkrpKernel::kAuto, CsfStrategy::kOneMode,
+                                false, false, 3, skewed, 500),
+            MttkrpKernel::kOneTree);
+  // Order 4 and above walk the one tree, at any rank.
+  for (const rank_t rank : {0u, 16u, 63u, 64u, 128u}) {
+    EXPECT_EQ(resolve_auto_kernel(MttkrpKernel::kAuto, CsfStrategy::kOneMode,
+                                  false, true, 4, order4, 900, rank),
+              MttkrpKernel::kOneTree)
+        << "rank " << rank;
+  }
+  // Order 3, balanced and dense-ish: stay on the one-tree walk.
+  EXPECT_EQ(resolve_auto_kernel(MttkrpKernel::kAuto, CsfStrategy::kOneMode,
+                                false, true, 3, cube, 9000),
+            MttkrpKernel::kOneTree);
+  // Order 3, heavy mode-length skew at low density: linearize.
+  EXPECT_EQ(resolve_auto_kernel(MttkrpKernel::kAuto, CsfStrategy::kOneMode,
+                                false, true, 3, skewed, 500),
+            MttkrpKernel::kAlto);
 }
 
 TEST(MttkrpSchedule, SolverRejectsIncoherentKernelAndSet) {

@@ -24,6 +24,7 @@
 #include "tensor/csf.hpp"
 #include "testing/fault_injection.hpp"
 #include "testing/helpers.hpp"
+#include "testing/mutation.hpp"
 #include "util/error.hpp"
 
 namespace aoadmm {
@@ -398,6 +399,58 @@ TEST_F(WalTest, CheckpointNnzBeyondTheBytesPresentThrowsWalError) {
     std::memcpy(&nnz, blob.data() + blob.size() - sizeof(nnz), sizeof(nnz));
   }
   expect_wal_error(blob);
+}
+
+TEST_F(WalTest, EveryCheckpointTruncationAndBitFlipThrowsWalError) {
+  {
+    WriteAheadLog wal(prefix(), WalOptions{});
+    wal.write_checkpoint(testing::random_coo({5, 4, 3}, 8, 41), 2);
+  }
+  const std::string path = prefix() + ".ckpt";
+  std::size_t accepted = 0;
+  const std::size_t mutants = testing::for_each_mutation(
+      testing::file_bytes(path),
+      [&](const std::string& bytes, const std::string& what) {
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+        StreamingTensor recovered({1, 1, 1}, StreamingOptions{});
+        WriteAheadLog replayer(prefix(), WalOptions{});
+        try {
+          replayer.recover_into(recovered);
+          if (accepted++ == 0) {
+            ADD_FAILURE() << what << " recovered";
+          }
+        } catch (const WalError&) {
+        }
+      });
+  EXPECT_EQ(accepted, 0u);
+  EXPECT_GT(mutants, 1000u);
+}
+
+TEST_F(WalTest, EverySegmentTruncationAndBitFlipRecovers) {
+  // A damaged segment is a torn or corrupt tail, never an error: recovery
+  // replays the records that check out and reports the rest.
+  std::vector<std::string> segments;
+  {
+    StreamingTensor t({1, 1, 1}, StreamingOptions{});
+    WriteAheadLog wal(prefix(), WalOptions{});
+    t.attach_wal(&wal);
+    for (const CooTensor& b : make_batches(2, 3)) {
+      t.apply(b);
+    }
+    segments = wal.segment_files();
+  }
+  ASSERT_EQ(segments.size(), 1u);
+  const std::size_t mutants = testing::for_each_mutation(
+      testing::file_bytes(segments[0]),
+      [&](const std::string& bytes, const std::string& what) {
+        std::ofstream(segments[0], std::ios::binary | std::ios::trunc)
+            << bytes;
+        StreamingTensor recovered({1, 1, 1}, StreamingOptions{});
+        WriteAheadLog replayer(prefix(), WalOptions{});
+        const WalRecoveryReport report = replayer.recover_into(recovered);
+        EXPECT_LE(report.records_recovered, 2u) << what;
+      });
+  EXPECT_GT(mutants, 1000u);
 }
 
 TEST_F(WalTest, InjectedWriteFaultDegradesNotThrows) {

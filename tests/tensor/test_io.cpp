@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "testing/helpers.hpp"
+#include "testing/mutation.hpp"
 #include "util/error.hpp"
 
 namespace aoadmm {
@@ -35,6 +36,17 @@ class TempDir {
  private:
   std::filesystem::path path_;
 };
+
+/// What a decoded tensor must satisfy whatever bytes it came from: every
+/// coordinate inside its mode and every value finite.
+void expect_valid(const CooTensor& x, const std::string& what) {
+  for (offset_t n = 0; n < x.nnz(); ++n) {
+    for (std::size_t m = 0; m < x.order(); ++m) {
+      ASSERT_LT(x.index(m, n), x.dim(m)) << what;
+    }
+    ASSERT_TRUE(std::isfinite(x.value(n))) << what;
+  }
+}
 
 bool tensors_equal(const CooTensor& a, const CooTensor& b) {
   if (a.order() != b.order() || a.nnz() != b.nnz()) {
@@ -171,6 +183,20 @@ TEST(TnsIo, RejectsZeroIndexWithToken) {
   expect_parse_error("1 0 1 1.0\n", {"line 1", "1-indexed"});
 }
 
+TEST(TnsIo, EveryTruncationAndBitFlipThrowsParseErrorOrDecodes) {
+  std::stringstream buf;
+  write_tns(testing::random_coo({3, 4, 2}, 4, 26), buf);
+  const std::size_t mutants = testing::for_each_mutation(
+      buf.str(), [](const std::string& bytes, const std::string& what) {
+        std::istringstream in(bytes);
+        try {
+          expect_valid(read_tns(in), what);
+        } catch (const ParseError&) {
+        }
+      });
+  EXPECT_GT(mutants, 100u);
+}
+
 TEST(TnsIo, DuplicatesSumByDefault) {
   // FROSTT convention: duplicate coordinates accumulate. The entry keeps
   // its first-occurrence position in the nnz ordering.
@@ -229,6 +255,22 @@ TEST(BinaryIo, PreservesDimsEvenWithUnusedSlices) {
   const CooTensor y = read_binary_file(dir.file("t.bin"));
   EXPECT_EQ(y.dim(0), 10u);
   EXPECT_EQ(y.dim(1), 10u);
+}
+
+TEST(BinaryIo, EveryTruncationAndBitFlipThrowsParseErrorOrDecodes) {
+  const TempDir dir;
+  const std::string path = dir.file("mutant.bin");
+  write_binary_file(testing::random_coo({5, 4, 3}, 6, 27), path);
+  const std::size_t mutants = testing::for_each_mutation(
+      testing::file_bytes(path),
+      [&](const std::string& bytes, const std::string& what) {
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+        try {
+          expect_valid(read_binary_file(path), what);
+        } catch (const ParseError&) {
+        }
+      });
+  EXPECT_GT(mutants, 1000u);
 }
 
 TEST(BinaryIo, RejectsCorruptMagic) {

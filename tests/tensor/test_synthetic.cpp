@@ -133,6 +133,13 @@ TEST(Synthetic, RejectsImpossibleNnz) {
   EXPECT_THROW(make_synthetic(s), InvalidArgument);
 }
 
+TEST(Synthetic, RejectsZeroLengthMode) {
+  SyntheticSpec s;
+  s.dims = {10, 0, 10};
+  s.nnz = 5;
+  EXPECT_THROW(make_synthetic(s), InvalidArgument);
+}
+
 TEST(Synthetic, RejectsOrderOne) {
   SyntheticSpec s;
   s.dims = {10};
