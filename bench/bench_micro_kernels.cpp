@@ -4,7 +4,9 @@
 // isolation.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <utility>
 
 #include "common.hpp"
 
@@ -16,10 +18,19 @@
 #include "mttkrp/mttkrp.hpp"
 #include "parallel/runtime.hpp"
 #include "tensor/synthetic.hpp"
+#include "util/isa.hpp"
 #include "util/rng.hpp"
 
 namespace aoadmm {
 namespace {
+
+// The x86-64 level the kernels run at, in the report's context stanza, so a
+// gate on a kernel ratio can say which flavor it measured.
+const bool kIsaContext = [] {
+  benchmark::AddCustomContext("isa_flavor",
+                              detail::to_string(detail::active_isa_flavor()));
+  return true;
+}();
 
 SyntheticSpec micro_tensor_spec() {
   SyntheticSpec spec;
@@ -346,10 +357,22 @@ void BM_Cholesky(benchmark::State& state) {
 }
 BENCHMARK(BM_Cholesky)->Arg(16)->Arg(64)->Arg(200);
 
-/// The rank-16, 20,000-row system both solve-rows benchmarks run.
+/// The rank-16, 20,000-row system both solve-rows benchmarks run. Every
+/// iteration restores `rhs` from `fresh` outside the timer: solving in
+/// place again and again shrinks the rows by up to 1/λmin(A) per solve,
+/// to subnormal numbers after about 400 solves, and subnormal arithmetic
+/// runs several times slower: the faster variant, which runs more
+/// iterations, would be timed on subnormals and the slower one would not.
 struct SolveRowsSystem {
   Cholesky chol;
+  Matrix fresh;
   Matrix rhs;
+
+  void reset(benchmark::State& state) {
+    state.PauseTiming();
+    std::copy(fresh.data(), fresh.data() + fresh.size(), rhs.data());
+    state.ResumeTiming();
+  }
 };
 
 SolveRowsSystem solve_rows_system() {
@@ -362,12 +385,15 @@ SolveRowsSystem solve_rows_system() {
   for (std::size_t i = 0; i < f; ++i) {
     g(i, i) += 1.0;
   }
-  return {Cholesky(g), Matrix::random_normal(rows, f, rng)};
+  Matrix fresh = Matrix::random_normal(rows, f, rng);
+  Matrix rhs = fresh;
+  return {Cholesky(g), std::move(fresh), std::move(rhs)};
 }
 
 void BM_CholeskySolveRows(benchmark::State& state) {
   SolveRowsSystem s = solve_rows_system();
   for (auto _ : state) {
+    s.reset(state);
     s.chol.solve_rows_inplace(s.rhs);
     benchmark::DoNotOptimize(s.rhs.data());
     benchmark::ClobberMemory();
@@ -378,10 +404,11 @@ void BM_CholeskySolveRows(benchmark::State& state) {
 BENCHMARK(BM_CholeskySolveRows);
 
 // The same system solved one row at a time: CI gates the ratio of the two
-// so the grouped substitution's gain cannot erode unseen.
+// so the panel substitution's gain cannot erode unseen.
 void BM_CholeskySolveRowsOneAtATime(benchmark::State& state) {
   SolveRowsSystem s = solve_rows_system();
   for (auto _ : state) {
+    s.reset(state);
     for (std::size_t i = 0; i < s.rhs.rows(); ++i) {
       s.chol.solve_inplace(s.rhs.row(i));
     }

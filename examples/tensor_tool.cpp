@@ -383,8 +383,6 @@ int cmd_cpd(const Options& opts) {
   require(opts.positional().size() >= 2,
           "usage: tensor_tool cpd <file> [options]");
   apply_threads_flag(opts);
-  const CooTensor x = load_any(opts.positional()[1], opts.has("wide-indices"));
-
   // --shards/--spill-dir/--max-resident-mb route the solve through the
   // sharded coordinator; the tiles are compiled per shard (possibly
   // out-of-core), so the whole-tensor CSF compile below is skipped.
@@ -418,19 +416,6 @@ int cmd_cpd(const Options& opts) {
       (kernel == MttkrpKernel::kOneTree || kernel == MttkrpKernel::kAlto)
           ? CsfStrategy::kOneMode
           : CsfStrategy::kAllMode;
-
-  std::optional<CsfSet> csf;
-  if (sharded) {
-    std::printf("loaded %llu non-zeros; sharding %s%s...\n",
-                static_cast<unsigned long long>(x.nnz()),
-                shard_opts.grid.empty() ? "1 cell"
-                                        : grid_to_string(shard_opts.grid).c_str(),
-                shard_opts.out_of_core() ? " (out-of-core)" : "");
-  } else {
-    std::printf("loaded %llu non-zeros; compiling CSF (%s)...\n",
-                static_cast<unsigned long long>(x.nnz()), to_string(strategy));
-    csf.emplace(x, strategy);
-  }
 
   CpdConfig config;
   config.with_mttkrp_kernel(kernel)
@@ -481,6 +466,58 @@ int cmd_cpd(const Options& opts) {
     config.admm.robustness.enabled = true;
     config.admm.robustness.max_recoveries =
         int_flag<unsigned>(opts, "max-recoveries", 3, 0);
+  }
+
+  config.with_constraints(ModeConstraints::broadcast(constraint));
+  config.with_loss(loss);
+  if (sharded) {
+    config.with_shards(shard_opts);
+  }
+  if (const auto ck_path = opts.get("checkpoint")) {
+    config.with_checkpoint(
+        *ck_path, int_flag<unsigned>(opts, "checkpoint-every", 10, 0));
+  }
+
+  const auto resume_path = opts.get("resume");
+  const auto couple_path = opts.get("couple");
+  if (couple_path) {
+    require(!resume_path && !opts.has("checkpoint"),
+            "--couple does not support checkpoint/resume");
+    require(!sharded, "--couple does not support --shards/--spill-dir");
+  }
+
+  // Every flag above is checked before the tensor is read: a bad value
+  // fails fast, before the load and the CSF compile.
+  const CooTensor x = load_any(opts.positional()[1], opts.has("wide-indices"));
+
+  // Surface configuration problems as CLI diagnostics, each naming the flag
+  // it concerns, before the CSF compile or any other work. Errors abort
+  // with exit code 2.
+  const ValidationReport report = config.validate(x.order());
+  for (const ValidationIssue& issue : report.issues) {
+    std::fprintf(stderr, "tensor_tool: %s: %s: %s\n",
+                 to_string(issue.severity), cli_flag_for(issue.field).c_str(),
+                 issue.message.c_str());
+  }
+  if (!report.ok()) {
+    std::fprintf(stderr,
+                 "tensor_tool: %zu configuration error(s); fix the flags "
+                 "above and retry\n",
+                 report.error_count());
+    return 2;
+  }
+
+  std::optional<CsfSet> csf;
+  if (sharded) {
+    std::printf("loaded %llu non-zeros; sharding %s%s...\n",
+                static_cast<unsigned long long>(x.nnz()),
+                shard_opts.grid.empty() ? "1 cell"
+                                        : grid_to_string(shard_opts.grid).c_str(),
+                shard_opts.out_of_core() ? " (out-of-core)" : "");
+  } else {
+    std::printf("loaded %llu non-zeros; compiling CSF (%s)...\n",
+                static_cast<unsigned long long>(x.nnz()), to_string(strategy));
+    csf.emplace(x, strategy);
   }
 
   const bool progress = opts.has("progress");
@@ -549,33 +586,6 @@ int cmd_cpd(const Options& opts) {
     }
   };
 
-  config.with_constraints(ModeConstraints::broadcast(constraint));
-  config.with_loss(loss);
-  if (sharded) {
-    config.with_shards(shard_opts);
-  }
-  if (const auto ck_path = opts.get("checkpoint")) {
-    config.with_checkpoint(
-        *ck_path, int_flag<unsigned>(opts, "checkpoint-every", 10, 0));
-  }
-
-  // Surface configuration problems as CLI diagnostics, each naming the flag
-  // it concerns, before any work starts. Errors abort with exit code 2.
-  const ValidationReport report = config.validate(x.order());
-  for (const ValidationIssue& issue : report.issues) {
-    std::fprintf(stderr, "tensor_tool: %s: %s: %s\n",
-                 to_string(issue.severity), cli_flag_for(issue.field).c_str(),
-                 issue.message.c_str());
-  }
-  if (!report.ok()) {
-    std::fprintf(stderr,
-                 "tensor_tool: %zu configuration error(s); fix the flags "
-                 "above and retry\n",
-                 report.error_count());
-    return 2;
-  }
-
-  const auto resume_path = opts.get("resume");
   if (resume_path) {
     std::printf("resuming from %s\n", resume_path->c_str());
   }
@@ -586,10 +596,7 @@ int cmd_cpd(const Options& opts) {
   ExchangeStats exchange{};
   TileResidency::Stats residency{};
   std::size_t shard_count = 1;
-  if (const auto couple_path = opts.get("couple")) {
-    require(!resume_path && !opts.has("checkpoint"),
-            "--couple does not support checkpoint/resume");
-    require(!sharded, "--couple does not support --shards/--spill-dir");
+  if (couple_path) {
     CoupledMatrix cm;
     cm.y = read_matrix_file(*couple_path);
     cm.mode = int_flag<std::size_t>(opts, "couple-mode", 0, 0, x.order() - 1);

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Fail if wide-ISA code leaked out of the MTTKRP kernel flavors.
+"""Fail if wide-ISA code leaked out of the kernel flavors.
 
-The MTTKRP kernels are compiled once per x86-64 level (src/mttkrp/isa.hpp):
-the x86-64-v3 and x86-64-v4 flavors live in the namespaces isa_v3 and
-isa_v4 and run only after a CPUID check. Every other function in the
+The MTTKRP kernels (src/mttkrp/isa.hpp) and the multi-row triangular
+substitution (src/la/solve_isa.hpp) are compiled once per x86-64 level
+(src/util/isa.hpp): the x86-64-v3 and x86-64-v4 flavors live in the
+namespaces isa_v3 and isa_v4 and run only after a CPUID check. Every other function in the
 library must run on any x86-64, so it must hold no VEX/EVEX instruction
 (a mnemonic starting with "v") and no BMI1/BMI2 instruction. A leak
 happens when a wide compile flag reaches shared inline code: the linker

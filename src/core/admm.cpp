@@ -9,6 +9,7 @@
 #include "obs/profile.hpp"
 #include "parallel/partition.hpp"
 #include "parallel/runtime.hpp"
+#include "util/aligned.hpp"
 #include "util/error.hpp"
 
 #if defined(AOADMM_HAVE_OPENMP)
@@ -66,7 +67,6 @@ class Envelope {
     AOADMM_CHECK(g.rows() == f && g.cols() == f);
     AOADMM_CHECK_MSG(opts.relaxation > 0 && opts.relaxation < 2,
                      "relaxation must lie in (0, 2)");
-    scratch.ensure(rows, f);
     rho_ = detail::admm_penalty(g);
     if (opts.robustness.enabled) {
       // The copy reuses h_entry's capacity after the first call, so the
@@ -163,8 +163,10 @@ AdmmResult admm_update(Matrix& h, Matrix& u, const Matrix& k, const Matrix& g,
   AOADMM_PROFILE_SCOPE("admm/base");
   Envelope env(h, u, k, g, opts, scratch);
   const std::size_t rows = h.rows();
-  Matrix& aux = scratch.aux;
-  Matrix& h_old = scratch.h_old;
+  const std::size_t f = h.cols();
+  scratch.ensure(rows, f);
+  real_t* const aux = scratch.aux.data();
+  real_t* const h_old = scratch.h_old.data();
   const RobustnessOptions& rb = opts.robustness;
 
   return env.run([&] {
@@ -199,19 +201,22 @@ AdmmResult admm_update(Matrix& h, Matrix& u, const Matrix& k, const Matrix& g,
         };
 
         detail::ResidualAccum local;
+        real_t* const aux_lo = aux + lo * f;
+        real_t* const h_old_lo = h_old + lo * f;
         timed([&] {
-          detail::admm_solve_rows(h, u, k, rho, chol, aux, lo, hi);
+          detail::admm_solve_rows(h, u, k, rho, chol, aux_lo, lo, hi);
         });
 #pragma omp barrier
         timed([&] {
-          detail::admm_primal_prep_rows(h, u, aux, h_old, opts.relaxation, lo,
-                                        hi);
+          detail::admm_primal_prep_rows(h, u, aux_lo, h_old_lo,
+                                        opts.relaxation, lo, hi);
         });
 #pragma omp barrier
         timed([&] { prox.apply(h, lo, hi, rho); });
 #pragma omp barrier
         timed([&] {
-          local.merge(detail::admm_dual_rows(h, u, aux, h_old, lo, hi));
+          local.merge(
+              detail::admm_dual_rows(h, u, aux_lo, h_old_lo, lo, hi));
         });
         busy.add(thread_id(), busy_seconds);
         merge_in_thread_order([&] { acc.merge(local); });
@@ -257,8 +262,20 @@ AdmmResult admm_update_blocked(Matrix& h, Matrix& u, const Matrix& k,
     scratch.blocks.resize(nblocks);
   }
   Block* const blocks = scratch.blocks.data();
-  Matrix& aux = scratch.aux;
-  Matrix& h_old = scratch.h_old;
+  // Each thread keeps the H̃ and H₀ rows of the block it runs in its own
+  // cache-line-aligned region of the slab, so a block iteration touches
+  // only its own rows of H, U and K in memory (§IV.B). Every iteration
+  // rewrites both before reading them: nothing in a region outlives one.
+  const std::size_t f = h.cols();
+  const std::size_t block_doubles = std::min(block_size, rows) * f;
+  constexpr std::size_t kLine = kCacheLineBytes / sizeof(real_t);
+  const std::size_t region = (2 * block_doubles + kLine - 1) / kLine * kLine;
+  const std::size_t slab_doubles =
+      region * static_cast<std::size_t>(max_threads());
+  if (scratch.slab.size() < slab_doubles) {
+    scratch.slab.resize(slab_doubles);
+  }
+  real_t* const slab = scratch.slab.data();
   const RobustnessOptions& rb = opts.robustness;
 
   // Without adaptive ρ, one sweep runs every block to its own convergence
@@ -279,6 +296,8 @@ AdmmResult admm_update_blocked(Matrix& h, Matrix& u, const Matrix& k,
     AOADMM_PROFILE_SCOPE("admm/blocked/block");
     Block& blk = blocks[b];
     const auto [lo, hi] = block_range(rows, block_size, b);
+    real_t* const aux = slab + static_cast<std::size_t>(thread_id()) * region;
+    real_t* const h_old = aux + block_doubles;
     const unsigned budget =
         std::min(sweep, opts.max_iterations - blk.iterations);
     detail::DivergenceMonitor monitor;

@@ -158,12 +158,13 @@ struct ResidualAccum {
 
 }  // namespace detail
 
-/// Scratch reused across ADMM calls (aux = H̃, h_old = H₀), plus the F x F
-/// system matrix G + ρI and its Cholesky factorization, which are rebuilt in
-/// place every call. Sized lazily to the largest factor they have seen, so a
-/// long-lived solver session performs no heap allocation here after the
-/// first outer iteration.
+/// Scratch reused across ADMM calls: the F x F system matrix G + ρI and
+/// its Cholesky factorization, rebuilt in place every call, and the H̃ and
+/// H₀ rows of each variant. Grow-only, so a long-lived solver session
+/// performs no heap allocation here after the first outer iteration.
 struct AdmmScratch {
+  /// admm_update's H̃ (aux) and H₀ (h_old): one row per factor row, sized
+  /// by ensure().
   Matrix aux;
   Matrix h_old;
   Matrix sys;     // G + ρI
@@ -171,6 +172,10 @@ struct AdmmScratch {
   /// Snapshot of the primal at call entry, maintained only when robustness
   /// is enabled: divergence restarts and sentinel rollbacks restore it.
   Matrix h_entry;
+  /// admm_update_blocked's H̃ and H₀ rows: one cache-line-aligned region
+  /// of 2 × block size × F doubles per thread, holding the block that
+  /// thread runs.
+  std::vector<real_t, AlignedAllocator<real_t>> slab;
 
   /// One block's progress across the blocked variant's sweeps.
   struct Block {

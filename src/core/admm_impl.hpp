@@ -99,22 +99,27 @@ inline void rescale_duals(Matrix& u, real_t scale) noexcept {
   }
 }
 
+// The three row kernels below take the H̃ (`aux`) and H₀ (`h_old`) rows of
+// [lo, hi) by pointer, back to back from row lo: admm_update points them
+// into its full-size scratch, admm_update_blocked into its thread's
+// block-sized region, so both variants run the same arithmetic.
+
 /// Least-squares step for rows [lo, hi): aux ← (G+ρI)⁻¹(K + ρ(H + U))
 /// (Algorithm 1, line 6). Serial over the range; callers parallelize.
 inline void admm_solve_rows(const Matrix& h, const Matrix& u, const Matrix& k,
-                            real_t rho, const Cholesky& chol, Matrix& aux,
+                            real_t rho, const Cholesky& chol, real_t* aux,
                             std::size_t lo, std::size_t hi) {
   const std::size_t f = h.cols();
   for (std::size_t i = lo; i < hi; ++i) {
     const real_t* __restrict hr = h.data() + i * f;
     const real_t* __restrict ur = u.data() + i * f;
     const real_t* __restrict kr = k.data() + i * f;
-    real_t* __restrict ar = aux.data() + i * f;
+    real_t* __restrict ar = aux + (i - lo) * f;
     for (std::size_t c = 0; c < f; ++c) {
       ar[c] = kr[c] + rho * (hr[c] + ur[c]);
     }
   }
-  chol.solve_rows_inplace(aux, lo, hi);
+  chol.solve_rows_inplace(aux, hi - lo);
 }
 
 /// Primal candidate for rows [lo, hi): h_old ← H; H ← Ĥ − U where
@@ -122,15 +127,15 @@ inline void admm_solve_rows(const Matrix& h, const Matrix& u, const Matrix& k,
 /// iterate, written back into `aux` so the dual step sees it (lines 7–8
 /// before the prox). The prox itself is applied by the caller so operators
 /// that need whole rows see them contiguously.
-inline void admm_primal_prep_rows(Matrix& h, const Matrix& u, Matrix& aux,
-                                  Matrix& h_old, real_t alpha,
+inline void admm_primal_prep_rows(Matrix& h, const Matrix& u, real_t* aux,
+                                  real_t* h_old, real_t alpha,
                                   std::size_t lo, std::size_t hi) noexcept {
   const std::size_t f = h.cols();
   for (std::size_t i = lo; i < hi; ++i) {
     real_t* __restrict hr = h.data() + i * f;
-    real_t* __restrict ho = h_old.data() + i * f;
+    real_t* __restrict ho = h_old + (i - lo) * f;
     const real_t* __restrict ur = u.data() + i * f;
-    real_t* __restrict ar = aux.data() + i * f;
+    real_t* __restrict ar = aux + (i - lo) * f;
     if (alpha != real_t{1}) {
       for (std::size_t c = 0; c < f; ++c) {
         ho[c] = hr[c];
@@ -149,15 +154,15 @@ inline void admm_primal_prep_rows(Matrix& h, const Matrix& u, Matrix& aux,
 /// Dual update + residual accumulation for rows [lo, hi): U ← U + H − H̃
 /// (line 9) and the four norms of lines 10–11.
 inline ResidualAccum admm_dual_rows(const Matrix& h, Matrix& u,
-                                    const Matrix& aux, const Matrix& h_old,
+                                    const real_t* aux, const real_t* h_old,
                                     std::size_t lo, std::size_t hi) noexcept {
   const std::size_t f = h.cols();
   ResidualAccum acc;
   for (std::size_t i = lo; i < hi; ++i) {
     const real_t* __restrict hr = h.data() + i * f;
     real_t* __restrict ur = u.data() + i * f;
-    const real_t* __restrict ar = aux.data() + i * f;
-    const real_t* __restrict ho = h_old.data() + i * f;
+    const real_t* __restrict ar = aux + (i - lo) * f;
+    const real_t* __restrict ho = h_old + (i - lo) * f;
     for (std::size_t c = 0; c < f; ++c) {
       const real_t diff = hr[c] - ar[c];
       ur[c] += diff;

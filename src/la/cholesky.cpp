@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
+#include "la/solve_isa.hpp"
 #include "parallel/runtime.hpp"
+#include "util/aligned.hpp"
 #include "util/error.hpp"
+#include "util/isa.hpp"
 
 namespace aoadmm {
 
@@ -121,54 +125,6 @@ void Cholesky::solve_rows_inplace(Matrix& b) const {
   solve_rows_inplace(b, 0, b.rows());
 }
 
-namespace {
-
-// Rows substituted together. One row's substitution is a single chain of
-// dependent subtractions, so it runs at that chain's latency; updating
-// kGroup rows at each pivot overlaps kGroup chains. At rank 16, groups of
-// 4 ran about 20% slower than 8, and groups of 16 were no faster.
-constexpr std::size_t kGroup = 8;
-
-/// solve_inplace on the kGroup rows starting at `b0` (row stride n): the
-/// same operations in the same order per row, so the bits match.
-void solve_group(const real_t* __restrict l, std::size_t n,
-                 real_t* __restrict b0) noexcept {
-  real_t v[kGroup];
-  // Forward substitution: L y = b.
-  for (std::size_t i = 0; i < n; ++i) {
-    const real_t* __restrict li = l + i * n;
-    for (std::size_t r = 0; r < kGroup; ++r) {
-      v[r] = b0[r * n + i];
-    }
-    for (std::size_t k = 0; k < i; ++k) {
-      const real_t lik = li[k];
-      for (std::size_t r = 0; r < kGroup; ++r) {
-        v[r] -= lik * b0[r * n + k];
-      }
-    }
-    for (std::size_t r = 0; r < kGroup; ++r) {
-      b0[r * n + i] = v[r] / li[i];
-    }
-  }
-  // Backward substitution: Lᵀ x = y.
-  for (std::size_t ii = n; ii-- > 0;) {
-    for (std::size_t r = 0; r < kGroup; ++r) {
-      v[r] = b0[r * n + ii];
-    }
-    for (std::size_t k = ii + 1; k < n; ++k) {
-      const real_t lki = l[k * n + ii];
-      for (std::size_t r = 0; r < kGroup; ++r) {
-        v[r] -= lki * b0[r * n + k];
-      }
-    }
-    for (std::size_t r = 0; r < kGroup; ++r) {
-      b0[r * n + ii] = v[r] / l[ii * n + ii];
-    }
-  }
-}
-
-}  // namespace
-
 void Cholesky::solve_rows_inplace(Matrix& b, std::size_t row_begin,
                                   std::size_t row_end) const {
   const std::size_t n = dim();
@@ -176,13 +132,27 @@ void Cholesky::solve_rows_inplace(Matrix& b, std::size_t row_begin,
                    "Cholesky: right-hand side width must equal dim()");
   AOADMM_CHECK_MSG(row_begin <= row_end && row_end <= b.rows(),
                    "Cholesky: row range out of bounds");
-  std::size_t i = row_begin;
-  for (; i + kGroup <= row_end; i += kGroup) {
-    solve_group(l_.data(), n, b.data() + i * n);
+  solve_rows_inplace(b.data() + row_begin * n, row_end - row_begin);
+}
+
+namespace {
+
+/// Panel scratch on the stack, enough for every rank up to 1024.
+constexpr std::size_t kStackPanelDoubles = detail::solve_panel_doubles(1024);
+
+}  // namespace
+
+void Cholesky::solve_rows_inplace(real_t* b, std::size_t rows) const {
+  static const detail::SolveRowsKernel kernel =
+      detail::solve_rows_kernel(detail::active_isa_flavor());
+  const std::size_t n = dim();
+  const std::size_t need = detail::solve_panel_doubles(n);
+  alignas(kCacheLineBytes) real_t stack[kStackPanelDoubles];
+  std::vector<real_t, AlignedAllocator<real_t>> heap;
+  if (need > kStackPanelDoubles) {
+    heap.resize(need);
   }
-  for (; i < row_end; ++i) {
-    solve_inplace(b.row(i));
-  }
+  kernel(l_.data(), n, b, rows, heap.empty() ? stack : heap.data());
 }
 
 namespace {

@@ -62,11 +62,12 @@ class Cholesky {
   void solve_inplace(span<real_t> b) const noexcept;
 
   /// Solve A Xᵀ = Bᵀ in place: each row of `b` is an independent
-  /// right-hand side. Rows are substituted eight at a time so their
-  /// dependency chains overlap; each row still runs exactly the operations
-  /// of solve_inplace in the same order, so the result is bitwise equal to
-  /// solving row by row. Serial; callers parallelize over row ranges.
-  /// Throws InvalidArgument unless b.cols() == dim().
+  /// right-hand side. Panels of rows are transposed into vectors one row
+  /// per lane and substituted together at the widest x86-64 level the CPU
+  /// reports (la/solve_isa.hpp); each lane still runs exactly the
+  /// operations of solve_inplace in the same order, so the result is
+  /// bitwise equal to solving row by row. Serial; callers parallelize over
+  /// row ranges. Throws InvalidArgument unless b.cols() == dim().
   void solve_rows_inplace(Matrix& b) const;
 
   /// Solve for the subset of rows [row_begin, row_end). Throws
@@ -74,6 +75,10 @@ class Cholesky {
   /// row_begin <= row_end <= b.rows().
   void solve_rows_inplace(Matrix& b, std::size_t row_begin,
                           std::size_t row_end) const;
+
+  /// Solve `rows` right-hand sides of dim() values each, stored back to
+  /// back from `b`; unchecked. Allocates nothing unless dim() exceeds 1024.
+  void solve_rows_inplace(real_t* b, std::size_t rows) const;
 
  private:
   /// One factorization attempt with `jitter` added to every diagonal entry.

@@ -3,32 +3,18 @@
 namespace aoadmm {
 namespace detail {
 
-const char* to_string(IsaFlavor flavor) noexcept {
-  switch (flavor) {
-    case IsaFlavor::kBaseline:
-      return "baseline";
-    case IsaFlavor::kX86_64_v3:
-      return "x86-64-v3";
-    case IsaFlavor::kX86_64_v4:
-      return "x86-64-v4";
-  }
-  return "?";
-}
-
 const MttkrpKernels* mttkrp_kernels(IsaFlavor flavor) noexcept {
-#if AOADMM_MTTKRP_ISA_FLAVORS
-  __builtin_cpu_init();  // safe even before static constructors have run
-#endif
+  if (!isa_flavor_supported(flavor)) {
+    return nullptr;
+  }
   switch (flavor) {
     case IsaFlavor::kBaseline:
       return &isa_base::kKernels;
-#if AOADMM_MTTKRP_ISA_FLAVORS
+#if AOADMM_ISA_FLAVORS
     case IsaFlavor::kX86_64_v3:
-      return __builtin_cpu_supports("x86-64-v3") ? &isa_v3::kKernels
-                                                 : nullptr;
+      return &isa_v3::kKernels;
     case IsaFlavor::kX86_64_v4:
-      return __builtin_cpu_supports("x86-64-v4") ? &isa_v4::kKernels
-                                                 : nullptr;
+      return &isa_v4::kKernels;
 #else
     case IsaFlavor::kX86_64_v3:
     case IsaFlavor::kX86_64_v4:
@@ -36,19 +22,6 @@ const MttkrpKernels* mttkrp_kernels(IsaFlavor flavor) noexcept {
 #endif
   }
   return nullptr;
-}
-
-IsaFlavor active_isa_flavor() noexcept {
-  static const IsaFlavor active = [] {
-    for (const IsaFlavor f :
-         {IsaFlavor::kX86_64_v4, IsaFlavor::kX86_64_v3}) {
-      if (mttkrp_kernels(f) != nullptr) {
-        return f;
-      }
-    }
-    return IsaFlavor::kBaseline;
-  }();
-  return active;
 }
 
 const MttkrpKernels& active_mttkrp_kernels() noexcept {

@@ -2,21 +2,12 @@
 //
 // Every MTTKRP compute body (the root CSF skeleton with its dense, CSR and
 // hybrid leaves, the non-root scatter kernels and ALTO) is compiled once
-// per x86-64 level: the build's baseline, x86-64-v3 (AVX2, FMA, BMI2) and
-// x86-64-v4 (AVX-512). Each flavor lives in its own namespace (isa_base,
-// isa_v3, isa_v4) and exports one table of function pointers; the public
-// entry points keep their argument checks, observability scope, output
-// resizing and schedule resolution in baseline code and call the widest
-// flavor the CPU reports, chosen once per process.
-//
-// All flavors compile without floating-point contraction
-// (-ffp-contract=off), so they return the same bits: only the vector width
-// changes. The v3/v4 flavors also decode ALTO coordinates with BMI2 `pext`.
-// Only GCC on x86-64 builds the v3/v4 flavors (AOADMM_MTTKRP_ISA_FLAVORS),
-// and only when the library's own target lacks AVX: a build that already
-// targets the host (AOADMM_NATIVE) runs its own baseline flavor, whose
-// inline helpers a narrower pragma could not inline. Everything else
-// builds the baseline flavor only.
+// per x86-64 level (util/isa.hpp). Each flavor lives in its own namespace
+// (isa_base, isa_v3, isa_v4) and exports one table of function pointers;
+// the public entry points keep their argument checks, observability scope,
+// output resizing and schedule resolution in baseline code and call the
+// active flavor's table. The v3/v4 flavors also decode ALTO coordinates
+// with BMI2 `pext`.
 #pragma once
 
 #include <cstddef>
@@ -27,30 +18,10 @@
 #include "sparse/hybrid.hpp"
 #include "tensor/alto.hpp"
 #include "tensor/csf.hpp"
+#include "util/isa.hpp"
 #include "util/types.hpp"
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__AVX__)
-#define AOADMM_MTTKRP_ISA_FLAVORS 1
-#else
-#define AOADMM_MTTKRP_ISA_FLAVORS 0
-#endif
-
 namespace aoadmm::detail {
-
-/// The x86-64 levels the MTTKRP kernels are compiled for, narrowest first.
-enum class IsaFlavor {
-  kBaseline,
-  kX86_64_v3,
-  kX86_64_v4,
-};
-
-inline constexpr IsaFlavor kIsaFlavors[] = {
-    IsaFlavor::kBaseline, IsaFlavor::kX86_64_v3, IsaFlavor::kX86_64_v4};
-
-/// "baseline" (the library's own target flags), "x86-64-v3" or
-/// "x86-64-v4".
-const char* to_string(IsaFlavor flavor) noexcept;
 
 /// The compute bodies of one flavor. Every kernel expects checked
 /// arguments and an output already sized and zeroed; scatter kernels take
@@ -75,7 +46,7 @@ struct MttkrpKernels {
 namespace isa_base {
 extern const MttkrpKernels kKernels;
 }
-#if AOADMM_MTTKRP_ISA_FLAVORS
+#if AOADMM_ISA_FLAVORS
 namespace isa_v3 {
 extern const MttkrpKernels kKernels;
 }
@@ -87,9 +58,6 @@ extern const MttkrpKernels kKernels;
 /// The flavor's table, or null when this build lacks the flavor or the
 /// running CPU does not report its level.
 const MttkrpKernels* mttkrp_kernels(IsaFlavor flavor) noexcept;
-
-/// The widest flavor the CPU reports, chosen once per process.
-IsaFlavor active_isa_flavor() noexcept;
 
 /// The table of active_isa_flavor(): what every public entry point runs.
 const MttkrpKernels& active_mttkrp_kernels() noexcept;

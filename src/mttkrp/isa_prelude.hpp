@@ -24,6 +24,6 @@
 #include "tensor/csf.hpp"
 #include "util/types.hpp"
 
-#if AOADMM_MTTKRP_ISA_FLAVORS
+#if AOADMM_ISA_FLAVORS
 #include <immintrin.h>  // _pext_u64 for the v3/v4 ALTO decode
 #endif

@@ -5,7 +5,7 @@
 // flavor returns the baseline's bits.
 #include "mttkrp/isa_prelude.hpp"
 
-#if AOADMM_MTTKRP_ISA_FLAVORS
+#if AOADMM_ISA_FLAVORS
 #define AOADMM_MTTKRP_PEXT_DECODE 1
 #pragma GCC push_options
 #pragma GCC target("arch=x86-64-v4")

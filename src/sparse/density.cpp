@@ -6,13 +6,16 @@ namespace aoadmm {
 
 DensityStats measure_density(const Matrix& a, real_t tol) {
   DensityStats stats;
-  stats.column_nnz.assign(a.cols(), 0);
+  const std::size_t cols = a.cols();
+  stats.column_nnz.assign(cols, 0);
+  // Branchless counts through a local pointer, so the compiler keeps them
+  // out of the vector's bookkeeping and vectorizes the compare. NaN
+  // compares false, so it counts as zero.
+  offset_t* __restrict counts = stats.column_nnz.data();
   for (std::size_t i = 0; i < a.rows(); ++i) {
-    const real_t* __restrict row = a.data() + i * a.cols();
-    for (std::size_t j = 0; j < a.cols(); ++j) {
-      if (std::abs(row[j]) > tol) {
-        ++stats.column_nnz[j];
-      }
+    const real_t* __restrict row = a.data() + i * cols;
+    for (std::size_t j = 0; j < cols; ++j) {
+      counts[j] += static_cast<offset_t>(std::abs(row[j]) > tol);
     }
   }
   for (const offset_t c : stats.column_nnz) {

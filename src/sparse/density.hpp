@@ -21,7 +21,8 @@ struct DensityStats {
   std::size_t dense_columns = 0;
 };
 
-/// One parallel pass over the matrix. Entries with |v| <= tol count as zero.
+/// One serial, branchless pass over the matrix. Entries with |v| <= tol,
+/// and NaN entries, count as zero.
 DensityStats measure_density(const Matrix& a, real_t tol = 0);
 
 }  // namespace aoadmm

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "la/blas.hpp"
 #include "la/cholesky.hpp"
+#include "parallel/runtime.hpp"
 #include "util/rng.hpp"
 
 namespace aoadmm {
@@ -332,6 +334,54 @@ TEST(Admm, SimplexConstraintProducesStochasticRows) {
     }
     EXPECT_NEAR(sum, 1.0, 1e-9);
   }
+}
+
+TEST(AdmmVariants, RunTheSameRowArithmeticBitwise) {
+  // With tolerance 0 every row runs all 5 iterations in both variants, so
+  // the blocked one (block-local H̃ and H₀ rows) must leave the baseline's
+  // (full-size scratch) bits in H and U, whatever the blocks and threads.
+  // One scratch per variant across every case: stale rows must not leak.
+  const int saved_threads = max_threads();
+  const auto prox = make_prox({ConstraintKind::kNonNegative});
+  AdmmScratch base_scratch;
+  AdmmScratch blocked_scratch;
+  const std::size_t rows = 197;
+  int cases = 0;
+  for (const std::size_t f : {3, 16, 33}) {
+    const Instance inst = make_instance(rows, f, 40 + f, true);
+    Rng rng(50 + f);
+    const Matrix h0 = Matrix::random_uniform(rows, f, rng, 0.0, 1.0);
+    const Matrix u0 = Matrix::random_normal(rows, f, rng);
+    for (const real_t alpha : {1.0, 1.6}) {
+      for (const std::size_t block : {1, 7, 50, 1000}) {
+        for (const int threads : {1, 3, 4}) {
+          set_num_threads(threads);
+          AdmmOptions opts;
+          opts.tolerance = 0;
+          opts.max_iterations = 5;
+          opts.relaxation = alpha;
+          opts.block_size = block;
+          Matrix h1 = h0;
+          Matrix u1 = u0;
+          admm_update(h1, u1, inst.k, inst.g, *prox, opts, base_scratch);
+          Matrix h2 = h0;
+          Matrix u2 = u0;
+          admm_update_blocked(h2, u2, inst.k, inst.g, *prox, opts,
+                              blocked_scratch);
+          const std::size_t bytes = rows * f * sizeof(real_t);
+          EXPECT_EQ(std::memcmp(h1.data(), h2.data(), bytes), 0)
+              << "h: f=" << f << " alpha=" << alpha << " block=" << block
+              << " threads=" << threads;
+          EXPECT_EQ(std::memcmp(u1.data(), u2.data(), bytes), 0)
+              << "u: f=" << f << " alpha=" << alpha << " block=" << block
+              << " threads=" << threads;
+          ++cases;
+        }
+      }
+    }
+  }
+  set_num_threads(saved_threads);
+  EXPECT_EQ(cases, 72);
 }
 
 }  // namespace

@@ -5,10 +5,14 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "la/blas.hpp"
+#include "la/solve_isa.hpp"
+#include "util/aligned.hpp"
 #include "util/error.hpp"
+#include "util/isa.hpp"
 #include "util/rng.hpp"
 
 namespace aoadmm {
@@ -27,8 +31,10 @@ Matrix random_spd(std::size_t n, std::uint64_t seed) {
 }
 
 bool bitwise_equal(const Matrix& a, const Matrix& b) {
+  // An empty matrix may hold no storage, and memcmp takes no null pointer.
   return a.rows() == b.rows() && a.cols() == b.cols() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(real_t)) == 0;
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(real_t)) == 0);
 }
 
 TEST(CholeskyTest, ReconstructsLLt) {
@@ -72,8 +78,9 @@ TEST(CholeskyTest, SolveRecoversKnownSolution) {
 }
 
 TEST(CholeskyTest, SolveRowsMatchesPerRowSolve) {
-  // Ranks below, at and above one group width, row counts that leave no
-  // group, exactly one, one plus a remainder, and a blocked-ADMM block.
+  // Ranks below, at and above one vector width, row counts that fill part
+  // of a vector, exactly one, one plus a remainder, and a blocked-ADMM
+  // block.
   for (const std::size_t n : {1, 2, 5, 8, 16, 33, 64, 200}) {
     const Cholesky chol(random_spd(n, 5 + n));
     for (const std::size_t rows : {1, 7, 8, 9, 50, 67}) {
@@ -91,7 +98,7 @@ TEST(CholeskyTest, SolveRowsMatchesPerRowSolve) {
 }
 
 TEST(CholeskyTest, PartialRowRangeOnlyTouchesRange) {
-  // [3, 22) starts a group on an unaligned row and ends in a remainder.
+  // [3, 22) starts a panel on an unaligned row and ends in a remainder.
   const Matrix spd = random_spd(4, 7);
   Rng rng(8);
   Matrix rhs = Matrix::random_normal(30, 4, rng);
@@ -104,6 +111,62 @@ TEST(CholeskyTest, PartialRowRangeOnlyTouchesRange) {
   }
   EXPECT_TRUE(bitwise_equal(rhs, expect));
 }
+
+using detail::IsaFlavor;
+
+/// Every flavor of the panel substitution (la/solve_isa.hpp), the baseline
+/// included: the active flavor is the only one the public API reaches.
+class SolveRowsIsa : public ::testing::TestWithParam<IsaFlavor> {};
+
+TEST_P(SolveRowsIsa, EveryFlavorMatchesSolveInplaceBitwise) {
+  const detail::SolveRowsKernel kernel = detail::solve_rows_kernel(GetParam());
+  if (kernel == nullptr) {
+    GTEST_SKIP() << to_string(GetParam())
+                 << " is not built here or not reported by this CPU";
+  }
+  // Stale scratch must not matter: every call starts on a panel of NaNs.
+  std::vector<real_t, AlignedAllocator<real_t>> panel;
+  const auto fresh_panel = [&panel](std::size_t n) {
+    panel.assign(detail::solve_panel_doubles(n),
+                 std::numeric_limits<real_t>::quiet_NaN());
+    return panel.data();
+  };
+  for (const std::size_t n : {1, 2, 5, 7, 8, 9, 16, 33, 64, 200}) {
+    const Cholesky chol(random_spd(n, 5 + n));
+    const real_t* l = chol.lower().data();
+    // 0, 1, and W − 1, W, W + 1 for every vector width W a flavor uses
+    // (2, 4, 8), then a blocked-ADMM block and one with a partial panel.
+    for (const std::size_t rows : {0, 1, 2, 3, 4, 5, 7, 8, 9, 50, 67}) {
+      Rng rng(6 + rows);
+      Matrix rhs = Matrix::random_normal(rows, n, rng);
+      Matrix want = rhs;
+      for (std::size_t i = 0; i < rows; ++i) {
+        chol.solve_inplace(want.row(i));
+      }
+      kernel(l, n, rhs.data(), rows, fresh_panel(n));
+      EXPECT_TRUE(bitwise_equal(rhs, want)) << "n=" << n << " rows=" << rows;
+    }
+    // An unaligned range: rows outside [3, 22) stay untouched.
+    Rng rng(8 + n);
+    Matrix rhs = Matrix::random_normal(30, n, rng);
+    Matrix want = rhs;
+    for (std::size_t i = 3; i < 22; ++i) {
+      chol.solve_inplace(want.row(i));
+    }
+    kernel(l, n, rhs.data() + 3 * n, 19, fresh_panel(n));
+    EXPECT_TRUE(bitwise_equal(rhs, want)) << "n=" << n << " rows [3, 22)";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Flavors, SolveRowsIsa, ::testing::ValuesIn(detail::kIsaFlavors),
+    [](const ::testing::TestParamInfo<IsaFlavor>& info) {
+      std::string name = to_string(info.param);
+      for (char& c : name) {
+        c = c == '-' ? '_' : c;
+      }
+      return name;
+    });
 
 TEST(CholeskyTest, SolveRowsRejectsMismatchedRightHandSide) {
   const Cholesky chol(random_spd(4, 12));

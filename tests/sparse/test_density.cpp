@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iterator>
+#include <limits>
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace aoadmm {
@@ -68,6 +73,44 @@ TEST(Density, NegativeEntriesCount) {
   Matrix a(2, 2);
   a(0, 0) = -0.5;
   EXPECT_EQ(measure_density(a).nnz, 1u);
+}
+
+TEST(Density, MatchesPlainReferenceOnSpecialValues) {
+  // Zeros of both signs, exactly ±tol, just past tol, negatives, NaN and
+  // ±inf, at column counts on and off a vector width.
+  const real_t tol = 0.25;
+  const real_t inf = std::numeric_limits<real_t>::infinity();
+  const real_t values[] = {
+      0.0, -0.0, tol, -tol, std::nextafter(tol, real_t{1}), -3.5, 2.0, 1e-300,
+      std::numeric_limits<real_t>::quiet_NaN(), inf, -inf};
+  Rng rng(3);
+  for (const std::size_t cols : {1, 3, 16, 17}) {
+    Matrix a(61, cols);
+    for (real_t& v : a.flat()) {
+      v = values[rng.uniform_index(std::size(values))];
+    }
+    for (const real_t t : {real_t{0}, tol}) {
+      std::vector<offset_t> want(cols, 0);
+      offset_t nnz = 0;
+      for (std::size_t i = 0; i < a.rows(); ++i) {
+        for (std::size_t j = 0; j < cols; ++j) {
+          if (std::abs(a(i, j)) > t) {
+            ++want[j];
+            ++nnz;
+          }
+        }
+      }
+      std::size_t dense = 0;
+      for (const offset_t c : want) {
+        dense += static_cast<real_t>(c) >
+                 static_cast<real_t>(nnz) / static_cast<real_t>(cols);
+      }
+      const DensityStats s = measure_density(a, t);
+      EXPECT_EQ(s.column_nnz, want) << "cols=" << cols << " tol=" << t;
+      EXPECT_EQ(s.nnz, nnz);
+      EXPECT_EQ(s.dense_columns, dense);
+    }
+  }
 }
 
 }  // namespace
